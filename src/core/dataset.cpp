@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -12,7 +13,6 @@
 #endif
 
 #include "chip/critical_nodes.hpp"
-#include "grid/recorder.hpp"
 #include "grid/transient.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
@@ -165,9 +165,12 @@ Dataset DataCollector::collect(
   // --- Calibration pass (unit current scale). The grid is linear, so the
   // per-node droop ranking and the worst-droop magnitude from a unit-scale
   // run determine both the critical nodes and the absolute scale.
+  // Its simulator factors the stepping matrix — the collection's only
+  // factorization; every benchmark block below steps against that factor.
+  std::optional<grid::TransientSim> factor_source;
   {
     TraceSpan calib_span("dataset.calibration");
-    grid::TransientSim sim(grid_, config_.dt);
+    grid::TransientSim& sim = factor_source.emplace(grid_, config_.dt);
     workload::PowerModel unit_model(floorplan_, /*current_scale=*/1.0);
     workload::ActivityGenerator generator(floorplan_, suite.front(),
                                           Rng(config_.seed ^ 0xCA11B8A7E));
@@ -227,85 +230,81 @@ Dataset DataCollector::collect(
   data.x_test = linalg::Matrix(m_count, test_total);
   data.f_test = linalg::Matrix(k_count, test_total);
 
-  // Combined watch list: candidates first, criticals after.
-  std::vector<std::size_t> watch = data.candidate_nodes;
-  watch.insert(watch.end(), data.critical_nodes.begin(),
-               data.critical_nodes.end());
-
   workload::PowerModel model(floorplan_, data.current_scale);
 
   // Benchmarks are mutually independent: each gets its own activity RNG
-  // (derived from the seed and the benchmark index alone), its own reset
-  // simulator state, and writes a disjoint column range of the shared
-  // matrices at offsets fixed by the canonical suite order. Chunking uses
-  // the shared work-quantum heuristic capped at one chunk per pool thread:
-  // each chunk owns a transient engine (one factorization), so finer
-  // chunks would repeat that setup cost for no scheduling win. At one
-  // thread this is exactly the serial loop, and at any thread count the
-  // dataset is bit-identical to it.
+  // (derived from the seed and the benchmark index alone) and its own
+  // state column, and writes a disjoint column range of the shared
+  // matrices at offsets fixed by the canonical suite order. The suite is
+  // split into contiguous blocks: the fewest of at most
+  // kMaxLockstepColumns benchmarks, rounded up to a multiple of the pool
+  // size so every thread gets equal work (one benchmark per block at
+  // most). Each block steps its columns in lockstep, one k-RHS
+  // substitution per time step, against the shared calibration factor.
+  // Every column is byte-identical to a one-column simulation, so the
+  // dataset does not depend on the block split or the thread count.
+  constexpr std::size_t kMaxLockstepColumns = 8;
+  const std::size_t threads = thread_count();
+  const std::size_t min_blocks =
+      (n_benchmarks + kMaxLockstepColumns - 1) / kMaxLockstepColumns;
+  const std::size_t blocks = std::min(
+      n_benchmarks, (min_blocks + threads - 1) / threads * threads);
+  const std::size_t train_maps = config_.train_maps_per_benchmark;
+  const std::size_t maps_needed = train_maps + config_.test_maps_per_benchmark;
+  const std::size_t steps =
+      config_.warmup_steps + (maps_needed - 1) * config_.map_stride + 1;
+
   std::vector<BenchmarkSlice> slices(n_benchmarks);
-  const std::size_t steps_per_benchmark =
-      config_.warmup_steps +
-      (config_.train_maps_per_benchmark + config_.test_maps_per_benchmark) *
-          config_.map_stride;
-  const double bench_flops = static_cast<double>(steps_per_benchmark) *
-                             static_cast<double>(grid_.node_count()) * 100.0;
-  const std::size_t chunks =
-      recommended_chunks(n_benchmarks, bench_flops, /*max_per_thread=*/1);
-  parallel_for(0, chunks, [&](std::size_t chunk) {
-    grid::TransientSim worker_sim(grid_, config_.dt);
-    linalg::Vector currents(grid_.node_count());
-    const std::size_t b_begin = chunk * n_benchmarks / chunks;
-    const std::size_t b_end = (chunk + 1) * n_benchmarks / chunks;
-    for (std::size_t b = b_begin; b < b_end; ++b) {
-      Timer bench_timer;
-      const auto& profile = suite[b];
-      TraceSpan bench_span("collect." + profile.name);
-      workload::ActivityGenerator generator(
-          floorplan_, profile, Rng(config_.seed + 0x9E3779B9 * (b + 1)));
-      worker_sim.reset();
+  for (std::size_t b = 0; b < n_benchmarks; ++b) {
+    slices[b].name = suite[b].name;
+    slices[b].train_begin = b * train_maps;
+    slices[b].train_end = slices[b].train_begin + train_maps;
+    slices[b].test_begin = b * config_.test_maps_per_benchmark;
+    slices[b].test_end =
+        slices[b].test_begin + config_.test_maps_per_benchmark;
+  }
 
-      for (std::size_t s = 0; s < config_.warmup_steps; ++s) {
-        model.to_node_currents(generator.step(), currents);
-        worker_sim.step(currents);
-      }
+  parallel_for(0, blocks, [&](std::size_t block) {
+    Timer block_timer;
+    TraceSpan block_span("collect.block" + std::to_string(block));
+    const std::size_t b_begin = block * n_benchmarks / blocks;
+    const std::size_t width = (block + 1) * n_benchmarks / blocks - b_begin;
+    grid::TransientSim sim = factor_source->with_columns(width);
+    std::vector<workload::ActivityGenerator> generators;
+    generators.reserve(width);
+    for (std::size_t b = b_begin; b < b_begin + width; ++b)
+      generators.emplace_back(floorplan_, suite[b],
+                              Rng(config_.seed + 0x9E3779B9 * (b + 1)));
+    std::vector<linalg::Vector> currents(width,
+                                         linalg::Vector(grid_.node_count()));
 
-      const std::size_t maps_needed = config_.train_maps_per_benchmark +
-                                      config_.test_maps_per_benchmark;
-      grid::MapSampler sampler(watch, config_.map_stride);
-      while (sampler.maps() < maps_needed) {
-        model.to_node_currents(generator.step(), currents);
-        sampler.observe(worker_sim.step(currents));
-      }
-      const linalg::Matrix maps = sampler.as_matrix();
-
-      BenchmarkSlice slice;
-      slice.name = profile.name;
-      slice.train_begin = b * config_.train_maps_per_benchmark;
-      slice.train_end = slice.train_begin + config_.train_maps_per_benchmark;
-      slice.test_begin = b * config_.test_maps_per_benchmark;
-      slice.test_end = slice.test_begin + config_.test_maps_per_benchmark;
-
-      // Time-split: earlier maps train, later maps test (no leakage).
-      for (std::size_t c = 0; c < config_.train_maps_per_benchmark; ++c) {
-        const std::size_t dst = slice.train_begin + c;
+    for (std::size_t s = 0; s < steps; ++s) {
+      for (std::size_t c = 0; c < width; ++c)
+        model.to_node_currents(generators[c].step(), currents[c]);
+      sim.step(currents);
+      if (s < config_.warmup_steps ||
+          (s - config_.warmup_steps) % config_.map_stride != 0)
+        continue;
+      // Keep every map_stride-th step after warm-up; time-split: earlier
+      // maps train, later maps test (no leakage).
+      const std::size_t map = (s - config_.warmup_steps) / config_.map_stride;
+      const bool train = map < train_maps;
+      linalg::Matrix& x = train ? data.x_train : data.x_test;
+      linalg::Matrix& f = train ? data.f_train : data.f_test;
+      for (std::size_t c = 0; c < width; ++c) {
+        const BenchmarkSlice& slice = slices[b_begin + c];
+        const std::size_t dst = train ? slice.train_begin + map
+                                      : slice.test_begin + map - train_maps;
         for (std::size_t r = 0; r < m_count; ++r)
-          data.x_train(r, dst) = maps(r, c);
+          x(r, dst) = sim.voltage(c, data.candidate_nodes[r]);
         for (std::size_t r = 0; r < k_count; ++r)
-          data.f_train(r, dst) = maps(m_count + r, c);
+          f(r, dst) = sim.voltage(c, data.critical_nodes[r]);
       }
-      for (std::size_t c = 0; c < config_.test_maps_per_benchmark; ++c) {
-        const std::size_t src = config_.train_maps_per_benchmark + c;
-        const std::size_t dst = slice.test_begin + c;
-        for (std::size_t r = 0; r < m_count; ++r)
-          data.x_test(r, dst) = maps(r, src);
-        for (std::size_t r = 0; r < k_count; ++r)
-          data.f_test(r, dst) = maps(m_count + r, src);
-      }
-      slices[b] = std::move(slice);
-      VMAP_LOG(kInfo) << profile.name << ": " << maps_needed << " maps in "
-                      << bench_timer.seconds() << " s";
     }
+    VMAP_LOG(kInfo) << suite[b_begin].name << ".."
+                    << suite[b_begin + width - 1].name << ": " << width
+                    << " x " << maps_needed << " maps in "
+                    << block_timer.seconds() << " s";
   });
   data.benchmarks = std::move(slices);
 

@@ -9,10 +9,14 @@
 // current scale (worst droop = target) and picks each block's worst-noise
 // node as its critical node.
 //
-// Collection is deterministic in the config seed. Benchmarks are simulated
-// concurrently on the thread pool (util/parallel.hpp) — each on its own
-// simulator/RNG, merged in canonical suite order — so the dataset, and
-// therefore its cache hash, is bit-identical at every thread count.
+// Collection is deterministic in the config seed. The stepping matrix is
+// factored once, by the calibration pass, and shared read-only. Benchmarks
+// then run in blocks on the thread pool (util/parallel.hpp): each block
+// steps its benchmarks in lockstep as the columns of one multi-RHS
+// simulation, each column with its own RNG and state, and writes its maps
+// straight into the benchmark's columns of the dataset matrices. Every
+// column is byte-identical to a one-benchmark simulation, so the dataset,
+// and therefore its cache hash, is the same at every thread count.
 // Because full collection costs minutes of simulation, datasets can be
 // saved/loaded in a versioned binary cache keyed by the configuration.
 

@@ -50,30 +50,4 @@ void TraceRecorder::clear() {
   samples_ = 0;
 }
 
-MapSampler::MapSampler(std::vector<std::size_t> nodes, std::size_t stride,
-                       std::size_t phase)
-    : nodes_(std::move(nodes)), stride_(stride), phase_(phase) {
-  VMAP_REQUIRE(!nodes_.empty(), "map sampler needs at least one node");
-  VMAP_REQUIRE(stride_ >= 1, "stride must be >= 1");
-}
-
-void MapSampler::observe(const linalg::Vector& all_voltages) {
-  const bool keep = seen_ >= phase_ && (seen_ - phase_) % stride_ == 0;
-  ++seen_;
-  if (!keep) return;
-  for (std::size_t node : nodes_) {
-    VMAP_REQUIRE(node < all_voltages.size(), "watched node out of range");
-    data_.push_back(all_voltages[node]);
-  }
-  ++kept_;
-}
-
-linalg::Matrix MapSampler::as_matrix() const {
-  linalg::Matrix m(nodes_.size(), kept_);
-  for (std::size_t s = 0; s < kept_; ++s)
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-      m(i, s) = data_[s * nodes_.size() + i];
-  return m;
-}
-
 }  // namespace vmap::grid

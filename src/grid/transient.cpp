@@ -1,6 +1,5 @@
 #include "grid/transient.hpp"
 
-#include "linalg/kernels.hpp"
 #include "sparse/csr.hpp"
 #include "util/assert.hpp"
 #include "util/metrics.hpp"
@@ -50,6 +49,7 @@ TransientSim::TransientSim(const PowerGrid& grid, double dt, StepSolver solver)
       dt_(dt),
       solver_kind_(solver),
       c_over_dt_(grid.node_count()),
+      rhs_(grid.node_count()),
       v_(grid.node_count(), grid.config().vdd),
       pad_currents_(grid.pad_nodes().size()) {
   VMAP_REQUIRE(dt > 0.0, "time step must be positive");
@@ -69,10 +69,25 @@ TransientSim::TransientSim(const PowerGrid& grid, double dt, StepSolver solver)
   for (std::size_t i = 0; i < cap.size(); ++i) c_over_dt_[i] = cap[i] / dt_;
 
   if (solver_kind_ == StepSolver::kDirect) {
-    direct_ = std::make_unique<sparse::SkylineCholesky>(step_matrix_);
+    direct_ = std::make_shared<const sparse::SkylineCholesky>(step_matrix_);
   } else {
     pcg_precond_ = sparse::ic0_preconditioner(step_matrix_);
   }
+}
+
+TransientSim TransientSim::with_columns(std::size_t columns) const {
+  VMAP_REQUIRE(solver_kind_ == StepSolver::kDirect,
+               "lockstep columns need the direct solver; PCG stepping is "
+               "one column only");
+  VMAP_REQUIRE(columns >= 1, "a simulator needs at least one state column");
+  TransientSim sim(*this);  // shares direct_, copies the O(n) step data
+  sim.report_ = nullptr;
+  sim.columns_ = columns;
+  sim.v_ = linalg::Vector(grid_.node_count() * columns, grid_.config().vdd);
+  sim.rhs_ = linalg::Vector(grid_.node_count() * columns);
+  sim.pad_currents_ = linalg::Vector(grid_.pad_nodes().size() * columns);
+  sim.steps_ = 0;
+  return sim;
 }
 
 void TransientSim::reset() {
@@ -83,53 +98,75 @@ void TransientSim::reset() {
 
 void TransientSim::reset(const linalg::Vector& v0) {
   VMAP_REQUIRE(v0.size() == grid_.node_count(), "state size mismatch");
-  v_ = v0;
+  for (std::size_t i = 0; i < v0.size(); ++i)
+    for (std::size_t c = 0; c < columns_; ++c) v_[i * columns_ + c] = v0[i];
   pad_currents_.fill(0.0);
   steps_ = 0;
 }
 
 const linalg::Vector& TransientSim::step(
     const linalg::Vector& load_currents) {
-  VMAP_REQUIRE(load_currents.size() == grid_.node_count() ||
-                   load_currents.size() == grid_.device_node_count(),
-               "load current vector size mismatch");
+  VMAP_REQUIRE(columns_ == 1,
+               "step(vector) drives a one-column simulator; pass one load "
+               "vector per column");
+  step(std::span<const linalg::Vector>(&load_currents, 1));
+  return v_;
+}
+
+void TransientSim::step(std::span<const linalg::Vector> load_currents) {
+  const std::size_t k = columns_;
+  const std::size_t n = grid_.node_count();
+  VMAP_REQUIRE(load_currents.size() == k,
+               "need one load current vector per state column");
+  for (const linalg::Vector& load : load_currents)
+    VMAP_REQUIRE(load.size() == n || load.size() == grid_.device_node_count(),
+                 "load current vector size mismatch");
   TraceSpan span("transient.step");
   static metrics::Counter& steps_total = metrics::counter("transient.steps");
-  steps_total.add();
+  steps_total.add(k);
   const double vdd = grid_.config().vdd;
 
-  linalg::Vector rhs(grid_.node_count());
-  linalg::kern::mul_to(rhs.size(), c_over_dt_.data(), v_.data(), rhs.data());
-  linalg::kern::sub(load_currents.size(), load_currents.data(), rhs.data());
+  // Per column, exactly the one-column arithmetic: C/dt * v, minus the
+  // load, plus the pad terms.
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < k; ++c)
+      rhs_[i * k + c] = c_over_dt_[i] * v_[i * k + c];
+  for (std::size_t c = 0; c < k; ++c) {
+    const linalg::Vector& load = load_currents[c];
+    for (std::size_t i = 0; i < load.size(); ++i) rhs_[i * k + c] -= load[i];
+  }
 
   const auto& pads = grid_.pad_nodes();
   if (inductive_) {
     for (std::size_t p = 0; p < pads.size(); ++p)
-      rhs[pads[p]] += g_eff_ * vdd + history_gain_ * pad_currents_[p];
+      for (std::size_t c = 0; c < k; ++c)
+        rhs_[pads[p] * k + c] +=
+            g_eff_ * vdd + history_gain_ * pad_currents_[p * k + c];
   } else {
     const auto& injection = grid_.pad_injection();
-    for (std::size_t pad : pads) rhs[pad] += injection[pad];
+    for (std::size_t pad : pads)
+      for (std::size_t c = 0; c < k; ++c) rhs_[pad * k + c] += injection[pad];
   }
 
   if (solver_kind_ == StepSolver::kDirect || pcg_degraded_) {
-    v_ = direct_->solve(rhs);
+    direct_->solve_block(k, rhs_.data(), v_.data());
   } else {
     StatusOr<sparse::CgResult> result = sparse::conjugate_gradient_checked(
-        step_matrix_, rhs, pcg_precond_, cg_options_);
+        step_matrix_, rhs_, pcg_precond_, cg_options_);
     if (result.ok() && result->converged) {
       v_ = std::move(result->x);
     } else {
-      solve_with_fallback(rhs, result);
+      solve_with_fallback(rhs_, result);
     }
   }
 
   if (inductive_) {
     for (std::size_t p = 0; p < pads.size(); ++p)
-      pad_currents_[p] = g_eff_ * (vdd - v_[pads[p]]) +
-                         history_gain_ * pad_currents_[p];
+      for (std::size_t c = 0; c < k; ++c)
+        pad_currents_[p * k + c] = g_eff_ * (vdd - v_[pads[p] * k + c]) +
+                                   history_gain_ * pad_currents_[p * k + c];
   }
   ++steps_;
-  return v_;
 }
 
 void TransientSim::solve_with_fallback(
@@ -171,7 +208,8 @@ void TransientSim::solve_with_fallback(
 
   // Rung 2: direct skyline solve. The factorization is built lazily and the
   // simulator permanently degrades to it — one event, not one per step.
-  if (!direct_) direct_ = std::make_unique<sparse::SkylineCholesky>(step_matrix_);
+  if (!direct_)
+    direct_ = std::make_shared<const sparse::SkylineCholesky>(step_matrix_);
   v_ = direct_->solve(rhs);
   pcg_degraded_ = true;
   if (report_)

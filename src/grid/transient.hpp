@@ -16,9 +16,19 @@
 // extra state the simulator carries. This reproduces the L·di/dt first
 // droop (the voltage undershoots below its resistive DC value after a load
 // step) that the voltage-emergency literature targets.
+//
+// Lockstep columns: the step matrix depends only on the grid and dt, so
+// one factor serves any number of independent simulations. A simulator
+// carries k state columns (node voltages and pad currents per column) and
+// advances all of them with one k-RHS substitution; with_columns() makes a
+// k-column simulator that shares an existing factor read-only, so
+// simulators on different threads step against a single factorization.
+// Column c evolves byte-identically to a one-column simulator fed the same
+// load currents.
 
 #include <cstddef>
 #include <memory>
+#include <span>
 
 #include "grid/power_grid.hpp"
 #include "linalg/vector.hpp"
@@ -37,30 +47,54 @@ enum class StepSolver {
 /// Time-stepping engine over a PowerGrid.
 class TransientSim {
  public:
-  /// `dt` is the step in seconds; must be positive.
+  /// `dt` is the step in seconds; must be positive. Builds (and, for the
+  /// direct solver, factors) the step matrix; the simulator has one state
+  /// column.
   TransientSim(const PowerGrid& grid, double dt,
                StepSolver solver = StepSolver::kDirect);
 
+  /// A fresh simulator of `columns` independent states at the quiescent
+  /// state, stepping against this simulator's factor (shared read-only:
+  /// no refactorization). Direct solver only.
+  TransientSim with_columns(std::size_t columns) const;
+
   double dt() const { return dt_; }
+  std::size_t columns() const { return columns_; }
+  /// The constant stepping matrix G (+ pad companions) + C/dt.
+  const sparse::CsrMatrix& step_matrix() const { return step_matrix_; }
   std::size_t steps_taken() const { return steps_; }
   double time() const { return static_cast<double>(steps_) * dt_; }
 
-  /// Resets to the all-VDD quiescent state (also the initial state).
+  /// Resets every column to the all-VDD quiescent state (also the initial
+  /// state).
   void reset();
-  /// Resets to an explicit state vector (pad currents reset to zero).
+  /// Resets every column to an explicit state vector (pad currents reset
+  /// to zero).
   void reset(const linalg::Vector& v0);
 
   /// Advances one step with the given per-node load currents (A) applied
   /// during the new interval; the vector may cover only the device layer
-  /// (zero-extended) or all nodes. Returns the node voltages after the
-  /// step.
+  /// (zero-extended) or all nodes. One-column simulators only. Returns the
+  /// node voltages after the step.
   const linalg::Vector& step(const linalg::Vector& load_currents);
 
-  /// Current node voltages.
+  /// Advances every column one step in lockstep; load_currents[c] drives
+  /// column c (same size rules as step()). Counts one transient.step
+  /// span and `columns()` transient.steps.
+  void step(std::span<const linalg::Vector> load_currents);
+
+  /// Voltage of `node` in state column `column`.
+  double voltage(std::size_t column, std::size_t node) const {
+    return v_[node * columns_ + column];
+  }
+
+  /// Current node voltages of a one-column simulator (for k columns, the
+  /// n x k row-major state: node i, column c at [i*k + c]).
   const linalg::Vector& voltages() const { return v_; }
 
   /// Current per-pad branch currents (A), aligned with
-  /// grid.pad_nodes(); all zeros when the pads have no inductance.
+  /// grid.pad_nodes() (pad p, column c at [p*k + c]); all zeros when the
+  /// pads have no inductance.
   const linalg::Vector& pad_currents() const { return pad_currents_; }
 
   /// Attaches a resilience report; solver fallbacks taken during step()
@@ -91,14 +125,16 @@ class TransientSim {
   double g_eff_ = 0.0;       ///< effective pad conductance 1/(R + L/dt)
   double history_gain_ = 0.0;  ///< g_eff * L/dt
   sparse::CsrMatrix step_matrix_;  // G (+ pad companion) + C/dt
-  std::unique_ptr<sparse::SkylineCholesky> direct_;
+  std::shared_ptr<const sparse::SkylineCholesky> direct_;  // shared, immutable
   sparse::Preconditioner pcg_precond_;
   sparse::CgOptions cg_options_;
   ResilienceReport* report_ = nullptr;  // not owned
   bool pcg_degraded_ = false;  ///< PCG path permanently escalated to direct
   linalg::Vector c_over_dt_;
-  linalg::Vector v_;
-  linalg::Vector pad_currents_;
+  linalg::Vector rhs_;  // step scratch, n x columns_
+  std::size_t columns_ = 1;
+  linalg::Vector v_;             // n x columns_, row-major
+  linalg::Vector pad_currents_;  // pads x columns_, row-major
   std::size_t steps_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "linalg/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -42,10 +43,6 @@ void sub(std::size_t n, const double* x, double* y) {
 
 void sub_div(std::size_t n, const double* g, double d, double* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] -= g[i] / d;
-}
-
-void mul_to(std::size_t n, const double* x, const double* y, double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * y[i];
 }
 
 void pack_panel(std::size_t n, const double* r0, const double* r1,
@@ -122,6 +119,21 @@ double dot(std::size_t n, const double* x, const double* y) {
 }
 
 double nrm2sq(std::size_t n, const double* x) { return dot(n, x, x); }
+
+void block_dot_sub(std::size_t n, std::size_t k, const double* a,
+                   const double* y, double* acc) {
+  for (std::size_t c = 0; c < k; ++c) {
+    double s = acc[c];
+    for (std::size_t j = 0; j < n; ++j) s -= a[j] * y[j * k + c];
+    acc[c] = s;
+  }
+}
+
+void block_axpy_sub(std::size_t n, std::size_t k, const double* a,
+                    const double* x, double* y) {
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t c = 0; c < k; ++c) y[j * k + c] -= a[j] * x[c];
+}
 
 }  // namespace ref
 
@@ -206,16 +218,6 @@ VMAP_AVX2 void sub_div(std::size_t n, const double* g, double d, double* y) {
   for (; i < n; ++i) y[i] -= g[i] / d;
 }
 
-VMAP_AVX2 void mul_to(std::size_t n, const double* x, const double* y,
-                      double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(x + i),
-                                            _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] * y[i];
-}
-
 VMAP_AVX2 void pack_panel(std::size_t n, const double* r0, const double* r1,
                           const double* r2, const double* r3, double* panel) {
   std::size_t k = 0;
@@ -287,6 +289,83 @@ VMAP_AVX2 double dot(std::size_t n, const double* x, const double* y) {
 
 VMAP_AVX2 double nrm2sq(std::size_t n, const double* x) {
   return dot(n, x, x);
+}
+
+// The block kernels cover k >= 4 columns with 4-wide groups at column
+// offsets 0, 4, 8, ... and a last group at k - 4, which overlaps its
+// predecessor when 4 does not divide k. An overlapped column is computed
+// twice, from the same inputs by the same operations, so both stores
+// write the same bits; the last group's inputs are read before any group
+// stores. This avoids masked loads and stores, which are slow on a
+// partial mask. Fewer than 4 columns take the scalar loops, except that
+// one column's back-substitution update vectorizes along j instead.
+
+/// Start column of group g of a k-column block (k >= 4).
+inline std::size_t group_offset(std::size_t g, std::size_t k) {
+  return std::min(4 * g, k - 4);
+}
+
+VMAP_AVX2 void block_dot_sub(std::size_t n, std::size_t k, const double* a,
+                             const double* y, double* acc) {
+  if (k < 4) {
+    ref::block_dot_sub(n, k, a, y, acc);  // less than one register
+    return;
+  }
+  // Two groups per sweep: each sweep is bound by the subtract latency of
+  // its accumulator chains, so a second independent chain comes free.
+  const std::size_t groups = (k + 3) / 4;
+  const __m256d last_init = _mm256_loadu_pd(acc + k - 4);
+  for (std::size_t g = 0; g < groups; g += 2) {
+    const std::size_t o0 = group_offset(g, k);
+    const double* yj = y;
+    __m256d s0 = g + 1 == groups ? last_init : _mm256_loadu_pd(acc + o0);
+    if (g + 1 < groups) {
+      const std::size_t o1 = group_offset(g + 1, k);
+      __m256d s1 = g + 2 == groups ? last_init : _mm256_loadu_pd(acc + o1);
+      for (std::size_t j = 0; j < n; ++j, yj += k) {
+        const __m256d aj = _mm256_set1_pd(a[j]);
+        s0 = _mm256_sub_pd(s0, _mm256_mul_pd(aj, _mm256_loadu_pd(yj + o0)));
+        s1 = _mm256_sub_pd(s1, _mm256_mul_pd(aj, _mm256_loadu_pd(yj + o1)));
+      }
+      _mm256_storeu_pd(acc + o0, s0);
+      _mm256_storeu_pd(acc + o1, s1);
+    } else {
+      for (std::size_t j = 0; j < n; ++j, yj += k)
+        s0 = _mm256_sub_pd(s0, _mm256_mul_pd(_mm256_set1_pd(a[j]),
+                                             _mm256_loadu_pd(yj + o0)));
+      _mm256_storeu_pd(acc + o0, s0);
+    }
+  }
+}
+
+VMAP_AVX2 void block_axpy_sub(std::size_t n, std::size_t k, const double* a,
+                              const double* x, double* y) {
+  if (k == 1) {
+    // One column: the outputs y[j] are independent along j.
+    const __m256d vx = _mm256_set1_pd(x[0]);
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4)
+      _mm256_storeu_pd(y + j, _mm256_sub_pd(_mm256_loadu_pd(y + j),
+                                            _mm256_mul_pd(_mm256_loadu_pd(a + j),
+                                                          vx)));
+    for (; j < n; ++j) y[j] -= a[j] * x[0];
+    return;
+  }
+  if (k < 4) {
+    ref::block_axpy_sub(n, k, a, x, y);
+    return;
+  }
+  const std::size_t last = k - 4;
+  for (std::size_t j = 0; j < n; ++j, y += k) {
+    const __m256d aj = _mm256_set1_pd(a[j]);
+    const __m256d tail = _mm256_sub_pd(
+        _mm256_loadu_pd(y + last), _mm256_mul_pd(aj, _mm256_loadu_pd(x + last)));
+    for (std::size_t c = 0; c < last; c += 4)
+      _mm256_storeu_pd(y + c, _mm256_sub_pd(_mm256_loadu_pd(y + c),
+                                            _mm256_mul_pd(aj,
+                                                          _mm256_loadu_pd(x + c))));
+    _mm256_storeu_pd(y + last, tail);
+  }
 }
 
 #undef VMAP_AVX2
@@ -372,10 +451,6 @@ void sub_div(std::size_t n, const double* g, double d, double* y) {
   VMAP_KERN_DISPATCH(sub_div(n, g, d, y));
 }
 
-void mul_to(std::size_t n, const double* x, const double* y, double* out) {
-  VMAP_KERN_DISPATCH(mul_to(n, x, y, out));
-}
-
 void pack_panel(std::size_t n, const double* r0, const double* r1,
                 const double* r2, const double* r3, double* panel) {
   VMAP_KERN_DISPATCH(pack_panel(n, r0, r1, r2, r3, panel));
@@ -397,6 +472,16 @@ double dot(std::size_t n, const double* x, const double* y) {
 
 double nrm2sq(std::size_t n, const double* x) {
   VMAP_KERN_DISPATCH(nrm2sq(n, x));
+}
+
+void block_dot_sub(std::size_t n, std::size_t k, const double* a,
+                   const double* y, double* acc) {
+  VMAP_KERN_DISPATCH(block_dot_sub(n, k, a, y, acc));
+}
+
+void block_axpy_sub(std::size_t n, std::size_t k, const double* a,
+                    const double* x, double* y) {
+  VMAP_KERN_DISPATCH(block_axpy_sub(n, k, a, x, y));
 }
 
 #undef VMAP_KERN_DISPATCH

@@ -1,7 +1,7 @@
 #pragma once
 // SIMD microkernel layer: the raw-pointer primitives under the dense
 // kernels (matmul family, Gram products, CG/FISTA vector updates, the
-// serving layer's batched predict).
+// serving layer's batched predict) and the multi-RHS skyline substitution.
 //
 // Dispatch: every kernel has an AVX2 implementation and a scalar fallback,
 // selected once at startup — AVX2 when the CPU supports it and the
@@ -54,8 +54,6 @@ void add(std::size_t n, const double* x, double* y);
 void sub(std::size_t n, const double* x, double* y);
 /// y[i] -= g[i] / d  (FISTA gradient step; IEEE division per element)
 void sub_div(std::size_t n, const double* g, double d, double* y);
-/// out[i] = x[i] * y[i]
-void mul_to(std::size_t n, const double* x, const double* y, double* out);
 
 // --- packed A·Bᵀ microkernel --------------------------------------------
 //
@@ -93,6 +91,24 @@ double dot(std::size_t n, const double* x, const double* y);
 /// sum_i x[i]*x[i] in the strided-lane order above.
 double nrm2sq(std::size_t n, const double* x);
 
+// --- k-column block kernels (multi-RHS triangular substitution) --------
+//
+// A block holds k independent right-hand-side columns interleaved row by
+// row: element (row j, column c) lives at y[j*k + c]. The two kernels are
+// the inner updates of a k-column forward/back substitution; they
+// vectorize across the k columns only, so each column sees exactly the
+// single-vector loop's operations in the same order (one accumulator per
+// column, ascending j, separate multiply and subtract).
+
+/// acc[c] -= a[j] * y[j*k + c] for j = 0..n-1 ascending, c in [0, k): the
+/// envelope-row update of forward substitution.
+void block_dot_sub(std::size_t n, std::size_t k, const double* a,
+                   const double* y, double* acc);
+/// y[j*k + c] -= a[j] * x[c] for j in [0, n), c in [0, k): the envelope
+/// column update of back substitution.
+void block_axpy_sub(std::size_t n, std::size_t k, const double* a,
+                    const double* x, double* y);
+
 // --- scalar oracles ------------------------------------------------------
 
 namespace ref {
@@ -102,7 +118,6 @@ void scale(std::size_t n, double a, double* x);
 void add(std::size_t n, const double* x, double* y);
 void sub(std::size_t n, const double* x, double* y);
 void sub_div(std::size_t n, const double* g, double d, double* y);
-void mul_to(std::size_t n, const double* x, const double* y, double* out);
 void pack_panel(std::size_t n, const double* r0, const double* r1,
                 const double* r2, const double* r3, double* panel);
 void dot_panel(std::size_t n, const double* a, const double* panel,
@@ -111,6 +126,10 @@ void dot_panel2(std::size_t n, const double* a, const double* b,
                 const double* panel, double* out_a, double* out_b);
 double dot(std::size_t n, const double* x, const double* y);
 double nrm2sq(std::size_t n, const double* x);
+void block_dot_sub(std::size_t n, std::size_t k, const double* a,
+                   const double* y, double* acc);
+void block_axpy_sub(std::size_t n, std::size_t k, const double* a,
+                    const double* x, double* y);
 }  // namespace ref
 
 }  // namespace vmap::linalg::kern

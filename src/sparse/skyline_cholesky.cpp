@@ -5,12 +5,17 @@
 #include <limits>
 #include <string>
 
+#include "linalg/kernels.hpp"
 #include "sparse/ordering.hpp"
 #include "util/assert.hpp"
+#include "util/metrics.hpp"
 
 namespace vmap::sparse {
 
 Status SkylineCholesky::factorize(const CsrMatrix& a, bool use_rcm) {
+  static metrics::Counter& factorizations =
+      metrics::counter("sparse.skyline.factorizations");
+  factorizations.add();
   n_ = a.rows();
   VMAP_REQUIRE(a.rows() == a.cols(), "Cholesky requires a square matrix");
   VMAP_REQUIRE(n_ > 0, "cannot factorize an empty matrix");
@@ -105,32 +110,45 @@ double SkylineCholesky::condition_estimate() const {
 
 linalg::Vector SkylineCholesky::solve(const linalg::Vector& b) const {
   VMAP_REQUIRE(b.size() == n_, "rhs size mismatch in skyline solve");
-  // Permute the right-hand side.
-  linalg::Vector y(n_);
-  for (std::size_t i = 0; i < n_; ++i) y[i] = b[perm_[i]];
+  linalg::Vector x(n_);
+  solve_block(1, b.data(), x.data());
+  return x;
+}
 
-  // Forward substitution L z = Pb (in place in y).
+void SkylineCholesky::solve_block(std::size_t k, const double* b,
+                                  double* x) const {
+  VMAP_REQUIRE(k > 0, "skyline block solve needs at least one column");
+  // Per-thread scratch, kept across calls: a fresh allocation per solve
+  // would be returned to the allocator and page-faulted back in on every
+  // time step, and those faults serialize threads stepping concurrently.
+  thread_local std::vector<double> y;
+  y.resize(n_ * k);
+  // Permute the right-hand sides.
+  for (std::size_t i = 0; i < n_; ++i)
+    std::copy_n(b + perm_[i] * k, k, y.data() + i * k);
+
+  // Forward substitution L Z = PB (in place in y): row-oriented dot
+  // updates, each column on its own accumulator.
   for (std::size_t i = 0; i < n_; ++i) {
-    const double* li = values_.data() + row_start_[i];
     const std::size_t fi = first_col_[i];
-    double acc = y[i];
-    for (std::size_t k = fi; k < i; ++k) acc -= li[k - fi] * y[k];
-    y[i] = acc / diag_[i];
+    double* yi = y.data() + i * k;
+    linalg::kern::block_dot_sub(i - fi, k, values_.data() + row_start_[i],
+                                y.data() + fi * k, yi);
+    for (std::size_t c = 0; c < k; ++c) yi[c] /= diag_[i];
   }
 
-  // Back substitution L^T x = z: column-oriented saxpy updates.
+  // Back substitution L^T X = Z: column-oriented saxpy updates.
   for (std::size_t ii = n_; ii-- > 0;) {
-    y[ii] /= diag_[ii];
-    const double* li = values_.data() + row_start_[ii];
     const std::size_t fi = first_col_[ii];
-    const double yi = y[ii];
-    for (std::size_t k = fi; k < ii; ++k) y[k] -= li[k - fi] * yi;
+    double* yi = y.data() + ii * k;
+    for (std::size_t c = 0; c < k; ++c) yi[c] /= diag_[ii];
+    linalg::kern::block_axpy_sub(ii - fi, k, values_.data() + row_start_[ii],
+                                 yi, y.data() + fi * k);
   }
 
   // Un-permute the solution.
-  linalg::Vector x(n_);
-  for (std::size_t i = 0; i < n_; ++i) x[perm_[i]] = y[i];
-  return x;
+  for (std::size_t i = 0; i < n_; ++i)
+    std::copy_n(y.data() + i * k, k, x + perm_[i] * k);
 }
 
 }  // namespace vmap::sparse

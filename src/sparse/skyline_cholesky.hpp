@@ -8,7 +8,10 @@
 //
 // This is the workhorse behind both DC IR-drop solves and the prefactored
 // backward-Euler transient stepping, and the terminal rung of the
-// solve_spd_resilient escalation ladder.
+// solve_spd_resilient escalation ladder. A factor is immutable once built,
+// so any number of threads may solve against one instance concurrently;
+// every factorization counts into the sparse.skyline.factorizations
+// metric.
 
 #include <cstddef>
 #include <vector>
@@ -36,8 +39,15 @@ class SkylineCholesky {
 
   std::size_t dim() const { return n_; }
 
-  /// Solves A x = b (the permutation is handled internally).
+  /// Solves A x = b (the permutation is handled internally): the k = 1
+  /// case of solve_block.
   linalg::Vector solve(const linalg::Vector& b) const;
+
+  /// Solves A X = B for k right-hand sides at once. B and X are n x k,
+  /// row-major (element (i, c) at [i*k + c]). One sweep over the envelope
+  /// serves all k columns, and each column of X is byte-identical to
+  /// solve() of the same column of B.
+  void solve_block(std::size_t k, const double* b, double* x) const;
 
   /// Number of stored (envelope) entries in L, a measure of fill.
   std::size_t envelope_size() const { return values_.size(); }

@@ -1,10 +1,12 @@
 // Focused unit tests for dataset collection options and pipeline edge
 // cases (beyond the end-to-end integration suite): multi-node monitoring,
-// FA candidates, column slicing, selection fallbacks, and config guards.
+// FA candidates, column slicing, selection fallbacks, config guards, and the
+// lockstep collection's byte identity to per-benchmark simulation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -14,8 +16,13 @@
 #include "core/ols_model.hpp"
 #include "core/pipeline.hpp"
 #include "grid/power_grid.hpp"
+#include "grid/transient.hpp"
 #include "util/assert.hpp"
+#include "util/metrics.hpp"
+#include "util/parallel.hpp"
+#include "workload/activity.hpp"
 #include "workload/benchmark_suite.hpp"
+#include "workload/power_model.hpp"
 
 namespace vmap::core {
 namespace {
@@ -193,14 +200,95 @@ TEST_F(DatasetPipelineTest, SingleBenchmarkCollectionWorks) {
   EXPECT_EQ(data.x_train.cols(), tiny_config().train_maps_per_benchmark);
 }
 
+bool bytes_equal(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+void expect_same_dataset(const Dataset& a, const Dataset& b) {
+  EXPECT_EQ(std::memcmp(&a.current_scale, &b.current_scale, sizeof(double)),
+            0);
+  EXPECT_EQ(a.candidate_nodes, b.candidate_nodes);
+  EXPECT_EQ(a.critical_nodes, b.critical_nodes);
+  EXPECT_TRUE(bytes_equal(a.x_train, b.x_train));
+  EXPECT_TRUE(bytes_equal(a.f_train, b.f_train));
+  EXPECT_TRUE(bytes_equal(a.x_test, b.x_test));
+  EXPECT_TRUE(bytes_equal(a.f_test, b.f_test));
+}
+
 TEST_F(DatasetPipelineTest, DeterministicAcrossCollections) {
-  const Dataset a = collect(tiny_config());
-  const Dataset b = collect(tiny_config());
-  ASSERT_EQ(a.x_train.cols(), b.x_train.cols());
-  EXPECT_DOUBLE_EQ(a.current_scale, b.current_scale);
-  for (std::size_t r = 0; r < a.x_train.rows(); r += 17)
-    for (std::size_t c = 0; c < a.x_train.cols(); c += 7)
-      EXPECT_DOUBLE_EQ(a.x_train(r, c), b.x_train(r, c));
+  expect_same_dataset(collect(tiny_config()), collect(tiny_config()));
+}
+
+/// The maps of `suite` stepped one benchmark at a time, each on its own
+/// one-column simulator, at the calibration results of `data` — the
+/// reference the lockstep collection must reproduce byte for byte.
+Dataset reference_maps(const Dataset& data, const grid::PowerGrid& grid,
+                       const chip::Floorplan& plan,
+                       const std::vector<workload::BenchmarkProfile>& suite) {
+  const DataConfig& config = data.config;
+  Dataset ref = data;
+  const workload::PowerModel model(plan, data.current_scale);
+  for (std::size_t b = 0; b < suite.size(); ++b) {
+    grid::TransientSim sim(grid, config.dt);
+    workload::ActivityGenerator generator(
+        plan, suite[b], Rng(config.seed + 0x9E3779B9 * (b + 1)));
+    linalg::Vector currents(grid.node_count());
+    for (std::size_t s = 0; s < config.warmup_steps; ++s) {
+      model.to_node_currents(generator.step(), currents);
+      sim.step(currents);
+    }
+    const std::size_t maps =
+        config.train_maps_per_benchmark + config.test_maps_per_benchmark;
+    for (std::size_t map = 0; map < maps; ++map) {
+      for (std::size_t s = 0; s < (map == 0 ? 1 : config.map_stride); ++s) {
+        model.to_node_currents(generator.step(), currents);
+        sim.step(currents);
+      }
+      const bool train = map < config.train_maps_per_benchmark;
+      linalg::Matrix& x = train ? ref.x_train : ref.x_test;
+      linalg::Matrix& f = train ? ref.f_train : ref.f_test;
+      const std::size_t dst =
+          train ? b * config.train_maps_per_benchmark + map
+                : b * config.test_maps_per_benchmark + map -
+                      config.train_maps_per_benchmark;
+      for (std::size_t r = 0; r < data.candidate_nodes.size(); ++r)
+        x(r, dst) = sim.voltages()[data.candidate_nodes[r]];
+      for (std::size_t r = 0; r < data.critical_nodes.size(); ++r)
+        f(r, dst) = sim.voltages()[data.critical_nodes[r]];
+    }
+  }
+  return ref;
+}
+
+TEST_F(DatasetPipelineTest, LockstepCollectionMatchesPerBenchmarkReference) {
+  // Nine benchmarks never fill whole 8-column blocks: one thread runs
+  // blocks of 4 and 5 columns, four threads blocks of 2 and 3.
+  std::vector<workload::BenchmarkProfile> suite =
+      workload::parsec_like_suite();
+  suite.resize(9);
+  DataConfig config = tiny_config();
+  config.train_maps_per_benchmark = 12;
+  config.test_maps_per_benchmark = 5;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_thread_count(threads);
+    const Dataset data = DataCollector(grid_, plan_, config).collect(suite);
+    expect_same_dataset(data, reference_maps(data, grid_, plan_, suite));
+  }
+  set_thread_count(0);
+}
+
+TEST_F(DatasetPipelineTest, CollectionFactorsTheStepMatrixOnce) {
+  metrics::Counter& factorizations =
+      metrics::counter("sparse.skyline.factorizations");
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_thread_count(threads);
+    const std::uint64_t before = factorizations.value();
+    collect(tiny_config());
+    EXPECT_EQ(factorizations.value() - before, 1u) << "threads=" << threads;
+  }
+  set_thread_count(0);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
-// Power-grid physics tests: DC operating points, transient behaviour,
-// voltage bounds, and recorders.
+// Power-grid physics tests: DC operating points, transient behaviour
+// (including lockstep multi-column stepping), voltage bounds, and
+// recorders.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "grid/power_grid.hpp"
 #include "grid/recorder.hpp"
 #include "grid/transient.hpp"
 #include "linalg/cholesky.hpp"
 #include "util/assert.hpp"
+#include "util/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace vmap::grid {
 namespace {
@@ -390,15 +395,69 @@ TEST(Recorder, TraceAndMatrixAgree) {
   EXPECT_DOUBLE_EQ(mins[0], t0.min());
 }
 
-TEST(Recorder, MapSamplerKeepsStride) {
+TEST(Transient, LockstepColumnsMatchOneColumnSimulators) {
+  for (double inductance : {0.0, 5e-10}) {
+    GridConfig c = small_config();
+    c.pad_inductance = inductance;
+    const PowerGrid grid(c);
+    const std::size_t k = 3;
+    const TransientSim base(grid, 1e-11);
+    TransientSim lockstep = base.with_columns(k);
+    EXPECT_EQ(lockstep.columns(), k);
+    std::vector<TransientSim> singles;
+    for (std::size_t col = 0; col < k; ++col) singles.emplace_back(grid, 1e-11);
+
+    vmap::Rng rng(77);
+    std::vector<linalg::Vector> loads(k, linalg::Vector(grid.node_count()));
+    for (int s = 0; s < 40; ++s) {
+      for (auto& load : loads)
+        for (std::size_t i = 0; i < load.size(); ++i)
+          load[i] = 0.02 * rng.uniform();
+      lockstep.step(loads);
+      for (std::size_t col = 0; col < k; ++col) singles[col].step(loads[col]);
+    }
+    for (std::size_t col = 0; col < k; ++col) {
+      for (std::size_t i = 0; i < grid.node_count(); ++i) {
+        const double got = lockstep.voltage(col, i);
+        const double want = singles[col].voltages()[i];
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << "L=" << inductance << " column " << col << " node " << i;
+      }
+      for (std::size_t p = 0; p < grid.pad_nodes().size(); ++p)
+        EXPECT_EQ(lockstep.pad_currents()[p * k + col],
+                  singles[col].pad_currents()[p]);
+    }
+    EXPECT_EQ(lockstep.steps_taken(), 40u);
+  }
+}
+
+TEST(Transient, WithColumnsSharesTheFactor) {
   const PowerGrid grid(small_config());
-  TransientSim sim(grid, 1e-11);
+  metrics::Counter& factorizations =
+      metrics::counter("sparse.skyline.factorizations");
+  const TransientSim base(grid, 1e-11);
+  const std::uint64_t before = factorizations.value();
+  TransientSim a = base.with_columns(4);
+  TransientSim b = base.with_columns(1);
+  EXPECT_EQ(factorizations.value(), before);
+  // A fresh block starts quiescent regardless of the source's state.
+  for (std::size_t col = 0; col < 4; ++col)
+    EXPECT_EQ(a.voltage(col, 0), grid.config().vdd);
   const linalg::Vector no_load(grid.node_count());
-  MapSampler sampler({0, 1, 2}, /*stride=*/3, /*phase=*/1);
-  for (int s = 0; s < 10; ++s) sampler.observe(sim.step(no_load));
-  // Observations kept: indices 1, 4, 7 -> 3 maps.
-  EXPECT_EQ(sampler.maps(), 3u);
-  EXPECT_EQ(sampler.as_matrix().cols(), 3u);
+  EXPECT_EQ(b.step(no_load)[0], TransientSim(grid, 1e-11).step(no_load)[0]);
+}
+
+TEST(Transient, LockstepContracts) {
+  const PowerGrid grid(small_config());
+  const TransientSim pcg(grid, 1e-11, StepSolver::kPcgIc0);
+  EXPECT_THROW(pcg.with_columns(2), vmap::ContractError);
+  const TransientSim direct(grid, 1e-11);
+  EXPECT_THROW(direct.with_columns(0), vmap::ContractError);
+  TransientSim block = direct.with_columns(2);
+  const linalg::Vector load(grid.node_count());
+  EXPECT_THROW(block.step(load), vmap::ContractError);
+  const std::vector<linalg::Vector> one_load(1, load);
+  EXPECT_THROW(block.step(one_load), vmap::ContractError);
 }
 
 }  // namespace

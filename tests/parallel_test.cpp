@@ -251,11 +251,6 @@ TEST(SimdKernels, ElementwiseBitIdenticalToScalarOracle) {
       linalg::kern::sub_div(n, x.data(), 3.14159, got.data());
       linalg::kern::ref::sub_div(n, x.data(), 3.14159, want.data());
       EXPECT_TRUE(bytes_equal(got, want)) << "sub_div n=" << n;
-
-      std::vector<double> out_got(n, -1.0), out_want(n, -1.0);
-      linalg::kern::mul_to(n, x.data(), y0.data(), out_got.data());
-      linalg::kern::ref::mul_to(n, x.data(), y0.data(), out_want.data());
-      EXPECT_TRUE(bytes_equal(out_got, out_want)) << "mul_to n=" << n;
     }
   }
 }
@@ -313,6 +308,34 @@ TEST(SimdKernels, StridedReductionsBitIdenticalToScalarOracle) {
       const double nrm_want = linalg::kern::ref::nrm2sq(n, x.data());
       EXPECT_EQ(std::memcmp(&nrm_got, &nrm_want, sizeof(double)), 0)
           << "nrm2sq n=" << n << " simd=" << simd;
+    }
+  }
+}
+
+TEST(SimdKernels, BlockSubstitutionKernelsBitIdenticalToScalarOracle) {
+  SimdGuard guard;
+  for (bool simd : {false, true}) {
+    linalg::kern::set_simd_enabled(simd);
+    for (std::size_t k : {1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 19}) {
+      for (std::size_t n : kKernelSizes) {
+        const std::vector<double> a = random_doubles(n, 90 + n);
+        const std::vector<double> y = random_doubles(n * k, 100 + n + k);
+        const std::vector<double> x = random_doubles(k, 110 + k);
+
+        std::vector<double> got = random_doubles(k, 120 + k), want = got;
+        linalg::kern::block_dot_sub(n, k, a.data(), y.data(), got.data());
+        linalg::kern::ref::block_dot_sub(n, k, a.data(), y.data(),
+                                         want.data());
+        EXPECT_TRUE(bytes_equal(got, want))
+            << "block_dot_sub n=" << n << " k=" << k << " simd=" << simd;
+
+        got = y, want = y;
+        linalg::kern::block_axpy_sub(n, k, a.data(), x.data(), got.data());
+        linalg::kern::ref::block_axpy_sub(n, k, a.data(), x.data(),
+                                          want.data());
+        EXPECT_TRUE(bytes_equal(got, want))
+            << "block_axpy_sub n=" << n << " k=" << k << " simd=" << simd;
+      }
     }
   }
 }

@@ -1,16 +1,23 @@
 // Sparse layer tests: CSR assembly semantics, SpMV, RCM ordering, skyline
-// Cholesky vs dense reference, and preconditioned CG.
+// Cholesky vs dense reference, the k-column skyline solve's per-column byte
+// identity, and preconditioned CG.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "core/experiment.hpp"
+#include "grid/power_grid.hpp"
+#include "grid/transient.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/kernels.hpp"
 #include "sparse/cg.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ordering.hpp"
 #include "sparse/skyline_cholesky.hpp"
 #include "util/assert.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace vmap::sparse {
@@ -199,6 +206,64 @@ TEST(Skyline, RejectsIndefinite) {
   b.add(0, 1, 2.0);
   b.add(1, 0, 2.0);
   EXPECT_THROW(SkylineCholesky(b.build()), vmap::ContractError);
+}
+
+/// Every column of a k-column block solve must be byte-identical to the
+/// scalar single-vector solve of that column, SIMD on and off.
+void expect_block_solve_matches_columns(const CsrMatrix& a) {
+  const bool simd_was = linalg::kern::simd_enabled();
+  const SkylineCholesky chol(a);
+  const std::size_t n = chol.dim();
+  for (std::size_t k : {1, 2, 3, 4, 5, 8, 9, 19}) {
+    vmap::Rng rng(1000 + k);
+    std::vector<double> b(n * k);
+    for (double& v : b) v = rng.normal();
+    std::vector<linalg::Vector> want(k, linalg::Vector(n));
+    linalg::kern::set_simd_enabled(false);
+    for (std::size_t c = 0; c < k; ++c) {
+      linalg::Vector bc(n);
+      for (std::size_t i = 0; i < n; ++i) bc[i] = b[i * k + c];
+      want[c] = chol.solve(bc);
+    }
+    for (bool simd : {false, true}) {
+      linalg::kern::set_simd_enabled(simd);
+      std::vector<double> x(n * k, -1.0);
+      chol.solve_block(k, b.data(), x.data());
+      for (std::size_t c = 0; c < k; ++c) {
+        linalg::Vector got(n);
+        for (std::size_t i = 0; i < n; ++i) got[i] = x[i * k + c];
+        EXPECT_EQ(std::memcmp(got.data(), want[c].data(), n * sizeof(double)),
+                  0)
+            << "k=" << k << " column " << c << " simd=" << simd;
+      }
+    }
+  }
+  linalg::kern::set_simd_enabled(simd_was);
+  EXPECT_THROW(chol.solve_block(0, nullptr, nullptr), vmap::ContractError);
+}
+
+TEST(SkylineCholesky, BlockSolveColumnsMatchSingleSolveOnStepMatrix) {
+  const grid::PowerGrid grid(core::default_setup().grid);
+  const grid::TransientSim sim(grid, core::default_setup().data.dt);
+  expect_block_solve_matches_columns(sim.step_matrix());
+}
+
+TEST(SkylineCholesky, BlockSolveColumnsMatchSingleSolveOnInductivePads) {
+  grid::GridConfig config = core::default_setup().grid;
+  config.pad_inductance = 5e-11;
+  const grid::PowerGrid grid(config);
+  const grid::TransientSim sim(grid, core::default_setup().data.dt);
+  expect_block_solve_matches_columns(sim.step_matrix());
+}
+
+TEST(SkylineCholesky, FactorizationsAreCounted) {
+  metrics::Counter& factorizations =
+      metrics::counter("sparse.skyline.factorizations");
+  const std::uint64_t before = factorizations.value();
+  const CsrMatrix m = chain_spd(12);
+  const SkylineCholesky chol(m);
+  ASSERT_TRUE(SkylineCholesky::try_factorize(m).ok());
+  EXPECT_EQ(factorizations.value() - before, 2u);
 }
 
 TEST(Cg, PlainCgSolvesChain) {
