@@ -8,11 +8,13 @@
 //  C. Per-core vs whole-chip GL decomposition.
 //  D. BCD vs FISTA on the same per-core problem — support agreement,
 //     objective gap, runtime.
-//  E. Model-backend matrix — every registered selection x prediction pair
-//     head-to-head on the Table-2 metrics and fit wall time.
+//  E. Selection head-to-head — group lasso vs greedy forward R², each
+//     followed by the same per-core OLS refit, on the Table-2 metrics and
+//     fit wall time.
 //
 // --sections picks a subset (e.g. --sections=e for the CI ablation gate).
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <iostream>
@@ -25,6 +27,7 @@
 #include "core/normalizer.hpp"
 #include "core/ols_model.hpp"
 #include "core/pipeline.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -207,53 +210,88 @@ void solver_ablation(const benchutil::Platform& platform,
               "sweeps are cheaper on sparse solutions)\n");
 }
 
-void backend_matrix_ablation(const benchutil::Platform& platform,
-                             std::size_t sensors_per_core,
-                             benchutil::RunReport& report) {
+/// The greedy_r2+ols model: per core, greedy forward-R² selection under
+/// the pipeline's sample cap of min(candidates, N-1), then the same OLS
+/// refit fit_placement runs on the sorted selection.
+core::PlacementModel fit_greedy_r2_ols(const core::Dataset& data,
+                                       const chip::Floorplan& floorplan,
+                                       std::size_t sensors_per_core,
+                                       ResilienceReport* report) {
+  std::vector<core::CoreModel> cores(floorplan.core_count());
+  parallel_for(0, cores.size(), [&](std::size_t c) {
+    core::CoreModel& core = cores[c];
+    core.core = c;
+    core.candidate_rows = data.candidate_rows_for_core(floorplan, c);
+    core.block_rows = data.critical_rows_for_core(floorplan, c);
+    const std::size_t count = std::min(
+        {sensors_per_core, core.candidate_rows.size(), data.x_train.cols() - 1});
+    const linalg::Matrix f = data.f_train.select_rows(core.block_rows);
+    for (std::size_t local : core::greedy_r2_select(
+             data.x_train.select_rows(core.candidate_rows), f, count))
+      core.selected_rows.push_back(core.candidate_rows[local]);
+    std::sort(core.selected_rows.begin(), core.selected_rows.end());
+    const core::OlsModel ols(data.x_train.select_rows(core.selected_rows), f,
+                             report);
+    core.alpha = ols.alpha();
+    core.intercept = ols.intercept();
+  });
+  std::vector<std::size_t> rows;
+  for (const auto& core : cores)
+    rows.insert(rows.end(), core.selected_rows.begin(),
+                core.selected_rows.end());
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  std::vector<std::size_t> nodes;
+  for (std::size_t row : rows) nodes.push_back(data.candidate_nodes[row]);
+  return core::PlacementModel(std::move(cores), std::move(nodes),
+                              data.num_blocks());
+}
+
+void selection_ablation(const benchutil::Platform& platform,
+                        std::size_t sensors_per_core,
+                        benchutil::RunReport& report) {
   const auto& data = platform.data;
   const double vth = platform.setup.data.emergency_threshold;
-  std::printf("\n== E. model-backend matrix at %zu sensors per core ==\n",
+  std::printf("\n== E. group lasso vs greedy forward R² selection at %zu "
+              "sensors per core, both with the OLS refit ==\n",
               sensors_per_core);
-  TablePrinter table({"selection", "prediction", "#sensors", "rel error(%)",
-                      "ME", "WAE", "TE", "fit(ms)"});
+  TablePrinter table({"selection", "#sensors", "rel error(%)", "ME", "WAE",
+                      "TE", "fit(ms)"});
+  core::PipelineConfig config;
+  config.lambda = 6.0;
+  config.sensors_per_core = sensors_per_core;
   for (const char* sel : {"group_lasso", "greedy_r2"}) {
-    for (const char* pred : {"ols", "spatial"}) {
-      core::PipelineConfig config;
-      config.lambda = 6.0;
-      config.sensors_per_core = sensors_per_core;
-      config.selection = sel;
-      config.prediction = pred;
-      Timer timer;
-      const auto model = core::fit_placement(data, *platform.floorplan,
-                                             config, platform.report.get());
-      const double fit_ms = timer.millis();
-      const linalg::Matrix f_pred = model.predict(data.x_test);
-      const double err = core::relative_error(data.f_test, f_pred);
-      const auto det =
-          core::evaluate_prediction_detector(data.f_test, f_pred, vth);
+    Timer timer;
+    const core::PlacementModel model =
+        std::string(sel) == "group_lasso"
+            ? core::fit_placement(data, *platform.floorplan, config,
+                                  platform.report.get())
+            : fit_greedy_r2_ols(data, *platform.floorplan, sensors_per_core,
+                                platform.report.get());
+    const double fit_ms = timer.millis();
+    const linalg::Matrix f_pred = model.predict(data.x_test);
+    const double err = core::relative_error(data.f_test, f_pred);
+    const auto det =
+        core::evaluate_prediction_detector(data.f_test, f_pred, vth);
 
-      // Scalar keys carry the backend names so the CI ablation gate can
-      // pattern-match rows: "backend.*spatial*" is tolerance-gated while
-      // the GL+OLS row stays byte-exact.
-      const std::string key = std::string("backend.") + sel + "+" + pred;
-      report.scalar(key + ".rel_err", err);
-      report.scalar(key + ".me", det.miss_rate());
-      report.scalar(key + ".wae", det.wrong_alarm_rate());
-      report.scalar(key + ".te", det.total_error_rate());
-      report.scalar(key + ".sensors",
-                    static_cast<double>(model.sensor_rows().size()));
-      report.timing(key + ".fit", fit_ms);
-      table.add_row({sel, pred, TablePrinter::fmt(model.sensor_rows().size()),
-                     TablePrinter::fmt(100.0 * err, 3),
-                     TablePrinter::fmt(det.miss_rate(), 4),
-                     TablePrinter::fmt(det.wrong_alarm_rate(), 4),
-                     TablePrinter::fmt(det.total_error_rate(), 4),
-                     TablePrinter::fmt(fit_ms, 1)});
-    }
+    const std::string key = std::string("backend.") + sel + "+ols";
+    report.scalar(key + ".rel_err", err);
+    report.scalar(key + ".me", det.miss_rate());
+    report.scalar(key + ".wae", det.wrong_alarm_rate());
+    report.scalar(key + ".te", det.total_error_rate());
+    report.scalar(key + ".sensors",
+                  static_cast<double>(model.sensor_rows().size()));
+    report.timing(key + ".fit", fit_ms);
+    table.add_row({sel, TablePrinter::fmt(model.sensor_rows().size()),
+                   TablePrinter::fmt(100.0 * err, 3),
+                   TablePrinter::fmt(det.miss_rate(), 4),
+                   TablePrinter::fmt(det.wrong_alarm_rate(), 4),
+                   TablePrinter::fmt(det.total_error_rate(), 4),
+                   TablePrinter::fmt(fit_ms, 1)});
   }
   table.print(std::cout);
-  std::printf("(group_lasso+ols is the paper; the spatial surrogate adds "
-              "grid-geometry patch features, greedy_r2 swaps the selector)\n");
+  std::printf("(group_lasso is the paper; greedy_r2 is the combinatorial "
+              "baseline with the same predictor)\n");
 }
 
 }  // namespace
@@ -281,7 +319,7 @@ int main(int argc, char** argv) {
     if (enabled('b')) refit_ablation(platform, report);
     if (enabled('c')) decomposition_ablation(platform, report);
     if (enabled('d')) solver_ablation(platform, report);
-    if (enabled('e')) backend_matrix_ablation(platform, sensors, report);
+    if (enabled('e')) selection_ablation(platform, sensors, report);
     benchutil::write_report(args, &platform, report);
     benchutil::print_resilience(platform);
     return 0;

@@ -133,23 +133,6 @@ void print_resilience(const Platform& platform) {
                platform.report->summary().c_str());
 }
 
-void add_backend_flags(CliArgs& args) {
-  args.add_flag("selection", "group_lasso",
-                "sensor-selection backend (see core/backend.hpp; "
-                "\"group_lasso\" reproduces the paper)");
-  args.add_flag("prediction", "ols",
-                "voltage-prediction backend (\"ols\" reproduces the paper, "
-                "\"spatial\" is the geometry-feature ridge surrogate)");
-}
-
-void apply_backend_flags(const CliArgs& args, core::PipelineConfig& config,
-                         RunReport& report) {
-  config.selection = args.get("selection");
-  config.prediction = args.get("prediction");
-  report.tag("selection", config.selection);
-  report.tag("prediction", config.prediction);
-}
-
 double scaled_lambda(const CliArgs& args, double paper_lambda) {
   return paper_lambda * args.get_double("lambda-scale");
 }

@@ -15,7 +15,6 @@
 #include "chip/floorplan.hpp"
 #include "core/dataset.hpp"
 #include "core/experiment.hpp"
-#include "core/pipeline.hpp"
 #include "grid/power_grid.hpp"
 #include "util/cli.hpp"
 #include "util/resilience.hpp"
@@ -49,9 +48,9 @@ struct RunReport {
   std::string bench;
   std::vector<std::pair<std::string, double>> scalars;
   std::vector<std::pair<std::string, double>> timings_ms;
-  /// Free-form string annotations ("selection" -> "group_lasso", ...),
-  /// emitted as a "tags" object. Not gated; they make the artifact
-  /// self-describing (which backends produced these scalars, etc.).
+  /// Free-form string annotations ("sections" -> "e", ...), emitted as a
+  /// "tags" object. Not gated; they make the artifact self-describing
+  /// (which configuration produced these scalars).
   std::vector<std::pair<std::string, std::string>> tags;
 
   void scalar(const std::string& name, double value) {
@@ -100,17 +99,6 @@ Platform load_platform(const CliArgs& args);
 /// of a bench so recoveries (cache recollection, solver fallbacks, ridge
 /// refits) are never silently absorbed into the results.
 void print_resilience(const Platform& platform);
-
-/// Registers `--selection` / `--prediction` (model-backend names resolved
-/// through the core registry; see src/core/backend.hpp). Call after
-/// add_common_flags in benches that fit placements.
-void add_backend_flags(CliArgs& args);
-
-/// Copies the backend flags into a pipeline config and tags the report with
-/// the chosen names. Unknown names surface later from fit_placement as
-/// StatusError(kInvalidArgument) listing what is registered.
-void apply_backend_flags(const CliArgs& args, core::PipelineConfig& config,
-                         RunReport& report);
 
 /// Paper-λ to internal group-lasso budget: the paper sweeps λ ∈ [10, 60] on
 /// its (unnormalized-objective) SOCP; our normalized-Gram budget lives on a

@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
       "table2_error_rates — Table 2: ME/WAE/TE per benchmark, Eagle-Eye vs "
       "proposed, 2 sensors per core");
   benchutil::add_common_flags(args);
-  benchutil::add_backend_flags(args);
   args.add_flag("sensors", "2", "sensors per core for both approaches");
   args.add_flag("eagle-strategy", "worst-noise",
                 "Eagle-Eye placement: worst-noise | coverage");
@@ -51,7 +50,6 @@ int main(int argc, char** argv) {
     core::PipelineConfig config;
     config.lambda = benchutil::scaled_lambda(args, 60.0);
     config.sensors_per_core = sensors;
-    benchutil::apply_backend_flags(args, config, report);
     Timer t_fit;
     const auto model = core::fit_placement(data, *platform.floorplan, config,
                                            platform.report.get());
@@ -60,10 +58,9 @@ int main(int argc, char** argv) {
     std::printf("== Table 2: error rates with %zu sensors per core "
                 "(emergency: V < %.2f) ==\n",
                 sensors, vth);
-    std::printf("Eagle-Eye strategy: %s; proposed: %s selection + %s "
-                "prediction\n\n",
-                strategy.c_str(), config.selection.c_str(),
-                config.prediction.c_str());
+    std::printf("Eagle-Eye strategy: %s; proposed: group lasso + OLS "
+                "refit\n\n",
+                strategy.c_str());
 
     TablePrinter table({"benchmark", "P(emerg)", "EE ME", "EE WAE", "EE TE",
                         "our ME", "our WAE", "our TE", "TE ratio"});

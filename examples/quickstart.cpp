@@ -55,7 +55,10 @@ int main() {
   const std::size_t sample = 7;
   const linalg::Vector x = data.x_test.col(sample);
   const linalg::Vector f_true = data.f_test.col(sample);
-  const linalg::Vector f_pred = model.predict_sample(x);
+  linalg::Vector readings(model.sensor_rows().size());
+  for (std::size_t i = 0; i < readings.size(); ++i)
+    readings[i] = x[model.sensor_rows()[i]];
+  const linalg::Vector f_pred = model.predict_from_sensor_readings(readings);
 
   double worst_true = 1e300, worst_pred = 1e300;
   std::size_t worst_block = 0;

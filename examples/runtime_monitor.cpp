@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
     std::size_t true_emergencies = 0, hits = 0;
     double worst_pred = 1e300;
     linalg::Vector worst_truth;   // full simulated map at the worst alarm
-    linalg::Vector worst_sensor_x;  // full candidate vector at that moment
+    linalg::Vector worst_readings;  // the sensors' readings at that moment
 
     const auto steps = static_cast<std::size_t>(args.get_int("steps"));
     for (std::size_t s = 0; s < steps; ++s) {
@@ -127,10 +127,7 @@ int main(int argc, char** argv) {
       if (decision.crossing && decision.worst_voltage < worst_pred) {
         worst_pred = decision.worst_voltage;
         worst_truth = v;
-        linalg::Vector x_all(data.num_candidates());
-        for (std::size_t i = 0; i < x_all.size(); ++i)
-          x_all[i] = v[data.candidate_nodes[i]];
-        worst_sensor_x = x_all;
+        worst_readings = readings;
       }
     }
 
@@ -148,10 +145,11 @@ int main(int argc, char** argv) {
                    data.critical_nodes.end());
       core::VoltageMapBuilder builder(grid, known);
 
-      const linalg::Vector f_pred = model.predict_sample(worst_sensor_x);
+      const linalg::Vector f_pred =
+          model.predict_from_sensor_readings(worst_readings);
       linalg::Vector known_values(known.size());
-      for (std::size_t i = 0; i < model.sensor_rows().size(); ++i)
-        known_values[i] = worst_sensor_x[model.sensor_rows()[i]];
+      for (std::size_t i = 0; i < worst_readings.size(); ++i)
+        known_values[i] = worst_readings[i];
       for (std::size_t k = 0; k < f_pred.size(); ++k)
         known_values[model.sensor_rows().size() + k] = f_pred[k];
       const linalg::Vector reconstructed = builder.build(known_values);

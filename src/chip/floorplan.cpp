@@ -192,31 +192,6 @@ std::optional<std::size_t> Floorplan::block_of_node(std::size_t node) const {
   return static_cast<std::size_t>(node_block_[node]);
 }
 
-double Floorplan::local_power_density(std::size_t node,
-                                      std::size_t radius) const {
-  VMAP_REQUIRE(node < grid_.device_node_count(),
-               "node must be a device-layer node");
-  const auto [cx, cy] = grid_.node_xy(node);
-  const auto& gc = grid_.config();
-  const std::size_t x0 = cx >= radius ? cx - radius : 0;
-  const std::size_t y0 = cy >= radius ? cy - radius : 0;
-  const std::size_t x1 = std::min(gc.nx - 1, cx + radius);
-  const std::size_t y1 = std::min(gc.ny - 1, cy + radius);
-  double sum = 0.0;
-  std::size_t tiles = 0;
-  for (std::size_t y = y0; y <= y1; ++y) {
-    for (std::size_t x = x0; x <= x1; ++x) {
-      const std::int32_t b = node_block_[grid_.node_id(x, y)];
-      if (b >= 0) {
-        const Block& block = blocks_[static_cast<std::size_t>(b)];
-        sum += block.power_weight / static_cast<double>(block.tile_count());
-      }
-      ++tiles;
-    }
-  }
-  return sum / static_cast<double>(tiles);
-}
-
 std::vector<std::size_t> Floorplan::ba_candidates_for_core(
     std::size_t core) const {
   VMAP_REQUIRE(core < core_count(), "core index out of range");

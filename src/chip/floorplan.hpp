@@ -86,14 +86,6 @@ class Floorplan {
   /// Block covering a node, if any.
   std::optional<std::size_t> block_of_node(std::size_t node) const;
 
-  /// Mean block power density (power weight per tile) over the
-  /// (2·radius+1)²-tile window centered on `node`'s tile, clipped to the
-  /// die: a tile covered by block b contributes b.power_weight divided by
-  /// b's tile count; blank-area tiles contribute 0. A patch feature for
-  /// spatially-aware model backends — hot neighborhoods droop deeper.
-  /// `node` must be a device-layer node.
-  double local_power_density(std::size_t node, std::size_t radius) const;
-
   /// BA nodes inside (and around, by the core margin) a core's region —
   /// the per-core sensor candidate set.
   std::vector<std::size_t> ba_candidates_for_core(std::size_t core) const;

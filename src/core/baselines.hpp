@@ -58,8 +58,8 @@ std::vector<std::size_t> place_greedy_r2(const Dataset& data,
                                          const chip::Floorplan& floorplan,
                                          std::size_t sensors_per_core);
 
-/// One-core building block of place_greedy_r2, exposed for the greedy_r2
-/// selection backend (core/backend.hpp): greedy forward selection on
+/// One-core building block of place_greedy_r2, exposed for the ablation
+/// bench's greedy_r2+ols row: greedy forward selection on
 /// already-restricted matrices `x` (local candidates x samples) and `f`
 /// (local responses x samples). Returns local row indices into `x`, in
 /// selection order (not sorted).

@@ -4,11 +4,15 @@
 #include <numeric>
 #include <string>
 
-#include "core/backend.hpp"
+#include "core/group_lasso.hpp"
+#include "core/normalizer.hpp"
+#include "core/ols_model.hpp"
+#include "core/sensor_selection.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
+#include "util/status.hpp"
 #include "util/trace.hpp"
 
 namespace vmap::core {
@@ -27,98 +31,89 @@ PlacementModel::PlacementModel(std::vector<CoreModel> cores,
                      sensor_rows_.end());
   VMAP_REQUIRE(sensor_rows_.size() == sensor_nodes_.size(),
                "sensor node list must align with selected rows");
+  reading_rows_.reserve(cores_.size());
+  for (const auto& core : cores_) {
+    std::vector<std::size_t>& positions = reading_rows_.emplace_back();
+    for (std::size_t row : core.selected_rows)
+      positions.push_back(static_cast<std::size_t>(
+          std::lower_bound(sensor_rows_.begin(), sensor_rows_.end(), row) -
+          sensor_rows_.begin()));
+  }
 }
 
-linalg::Matrix PlacementModel::predict(const linalg::Matrix& x_full) const {
-  linalg::Matrix f_pred(num_blocks_, x_full.cols());
-  for (const auto& core : cores_) {
-    const linalg::Matrix x_sel = x_full.select_rows(core.selected_rows);
-    linalg::Matrix f_core = linalg::matmul(core.alpha, x_sel);
+linalg::Matrix PlacementModel::predict_columns(const linalg::Matrix& x,
+                                               bool x_is_readings) const {
+  const std::size_t n = x.cols();
+  linalg::Matrix f_pred(num_blocks_, n);
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    const CoreModel& core = cores_[c];
+    const std::vector<std::size_t>& rows =
+        x_is_readings ? reading_rows_[c] : core.selected_rows;
+    linalg::Matrix x_sel(rows.size(), n);
+    for (std::size_t j = 0; j < rows.size(); ++j)
+      std::copy_n(x.row_data(rows[j]), n, x_sel.row_data(j));
+    const linalg::Matrix f_core = linalg::matmul(core.alpha, x_sel);
     for (std::size_t k = 0; k < core.block_rows.size(); ++k) {
-      const double c = core.intercept[k];
+      const double c0 = core.intercept[k];
       const double* src = f_core.row_data(k);
       double* dst = f_pred.row_data(core.block_rows[k]);
-      for (std::size_t s = 0; s < f_core.cols(); ++s) dst[s] = src[s] + c;
+      for (std::size_t s = 0; s < n; ++s) dst[s] = src[s] + c0;
     }
   }
   return f_pred;
+}
+
+linalg::Matrix PlacementModel::predict(const linalg::Matrix& x_full) const {
+  VMAP_REQUIRE(sensor_rows_.empty() || sensor_rows_.back() < x_full.rows(),
+               "candidate matrix lacks a placed sensor's row");
+  return predict_columns(x_full, /*x_is_readings=*/false);
 }
 
 linalg::Vector PlacementModel::predict_from_sensor_readings(
     const linalg::Vector& readings) const {
   VMAP_REQUIRE(readings.size() == sensor_rows_.size(),
                "readings must align with the placed sensors");
-  // Map global candidate rows to positions within the sensor list once per
-  // call; the list is sorted, so binary search suffices.
-  auto position_of = [this](std::size_t row) {
-    const auto it =
-        std::lower_bound(sensor_rows_.begin(), sensor_rows_.end(), row);
-    VMAP_ASSERT(it != sensor_rows_.end() && *it == row,
-                "selected row missing from the sensor list");
-    return static_cast<std::size_t>(it - sensor_rows_.begin());
-  };
-  linalg::Vector f_pred(num_blocks_);
-  for (const auto& core : cores_) {
-    linalg::Vector x_sel(core.selected_rows.size());
-    for (std::size_t j = 0; j < core.selected_rows.size(); ++j)
-      x_sel[j] = readings[position_of(core.selected_rows[j])];
-    linalg::Vector f_core = linalg::matvec(core.alpha, x_sel);
-    for (std::size_t k = 0; k < core.block_rows.size(); ++k)
-      f_pred[core.block_rows[k]] = f_core[k] + core.intercept[k];
-  }
-  return f_pred;
+  linalg::Matrix column(readings.size(), 1);
+  column.set_col(0, readings);
+  return predict_columns(column, /*x_is_readings=*/true).col(0);
 }
 
 linalg::Matrix PlacementModel::predict_from_sensor_readings_batch(
     const linalg::Matrix& readings) const {
   VMAP_REQUIRE(readings.rows() == sensor_rows_.size(),
                "reading rows must align with the placed sensors");
-  auto position_of = [this](std::size_t row) {
-    const auto it =
-        std::lower_bound(sensor_rows_.begin(), sensor_rows_.end(), row);
-    VMAP_ASSERT(it != sensor_rows_.end() && *it == row,
-                "selected row missing from the sensor list");
-    return static_cast<std::size_t>(it - sensor_rows_.begin());
-  };
-  const std::size_t n = readings.cols();
-  linalg::Matrix f_pred(num_blocks_, n);
-  for (const auto& core : cores_) {
-    linalg::Matrix x_sel(core.selected_rows.size(), n);
-    for (std::size_t j = 0; j < core.selected_rows.size(); ++j) {
-      const double* src =
-          readings.row_data(position_of(core.selected_rows[j]));
-      double* dst = x_sel.row_data(j);
-      for (std::size_t s = 0; s < n; ++s) dst[s] = src[s];
-    }
-    const linalg::Matrix f_core = linalg::matmul(core.alpha, x_sel);
-    for (std::size_t k = 0; k < core.block_rows.size(); ++k) {
-      const double c = core.intercept[k];
-      const double* src = f_core.row_data(k);
-      double* dst = f_pred.row_data(core.block_rows[k]);
-      for (std::size_t s = 0; s < n; ++s) dst[s] = src[s] + c;
-    }
-  }
-  return f_pred;
-}
-
-linalg::Vector PlacementModel::predict_sample(
-    const linalg::Vector& x_full) const {
-  linalg::Vector f_pred(num_blocks_);
-  for (const auto& core : cores_) {
-    linalg::Vector x_sel(core.selected_rows.size());
-    for (std::size_t j = 0; j < core.selected_rows.size(); ++j)
-      x_sel[j] = x_full[core.selected_rows[j]];
-    linalg::Vector f_core = linalg::matvec(core.alpha, x_sel);
-    for (std::size_t k = 0; k < core.block_rows.size(); ++k)
-      f_pred[core.block_rows[k]] = f_core[k] + core.intercept[k];
-  }
-  return f_pred;
+  return predict_columns(readings, /*x_is_readings=*/true);
 }
 
 namespace {
 
-CoreModel fit_core(const Dataset& data, const chip::Floorplan& floorplan,
-                   std::size_t core_index,
+/// Converts group-lasso coefficients (normalized space, restricted to the
+/// selected columns) into a raw-unit affine model — the no-refit ablation.
+void gl_coefficients_to_affine(const GroupLassoResult& gl,
+                               const std::vector<std::size_t>& selected_local,
+                               const Normalizer& x_norm,
+                               const Normalizer& f_norm, CoreModel& core) {
+  const std::size_t k_count = gl.beta.rows();
+  const std::size_t q = selected_local.size();
+  core.alpha = linalg::Matrix(k_count, q);
+  core.intercept = linalg::Vector(k_count);
+  for (std::size_t k = 0; k < k_count; ++k) {
+    const double sf = f_norm.is_degenerate(k) ? 0.0 : f_norm.stddevs()[k];
+    double c = f_norm.means()[k];
+    for (std::size_t j = 0; j < q; ++j) {
+      const std::size_t m = selected_local[j];
+      const double sx = x_norm.stddevs()[m];
+      const double a = x_norm.is_degenerate(m)
+                           ? 0.0
+                           : sf * gl.beta(k, m) / sx;
+      core.alpha(k, j) = a;
+      c -= a * x_norm.means()[m];
+    }
+    core.intercept[k] = c;
+  }
+}
+
+CoreModel fit_core(const Dataset& data, std::size_t core_index,
                    std::vector<std::size_t> candidate_rows,
                    std::vector<std::size_t> block_rows,
                    const PipelineConfig& config, ResilienceReport* report) {
@@ -136,41 +131,68 @@ CoreModel fit_core(const Dataset& data, const chip::Floorplan& floorplan,
   core.core = core_index;
   core.candidate_rows = std::move(candidate_rows);
   core.block_rows = std::move(block_rows);
+  const linalg::Matrix f = data.f_train.select_rows(core.block_rows);
 
-  const CoreFitContext ctx{data,          floorplan, core_index,
-                           core.candidate_rows, core.block_rows,
-                           config,        report};
-
-  auto selector = make_selection_backend(config.selection);
-  if (!selector.ok()) throw StatusError(selector.status());
-  SelectionOutcome selection;
   {
-    TraceSpan sel_span("backend.sel." + config.selection);
-    selection = selector.value()->select_core(ctx);
-  }
-  VMAP_REQUIRE(!selection.selected_rows.empty(),
-               "selection backend returned no sensors");
-  core.group_norms = std::move(selection.group_norms);
-  core.selected_rows = std::move(selection.selected_rows);
+    // Steps 2-5 (§2.2): normalize, budgeted group lasso, selection.
+    TraceSpan sel_span("backend.sel.group_lasso");
+    const linalg::Matrix x = data.x_train.select_rows(core.candidate_rows);
+    const Normalizer x_norm(x);
+    const Normalizer f_norm(f);
+    GroupLasso solver(GroupLassoProblem::from_data(x_norm.normalize(x),
+                                                   f_norm.normalize(f)));
+    const GroupLassoResult gl = solver.solve_budget(config.lambda);
+    if (!gl.status.ok()) throw StatusError(gl.status);
+    if (!gl.converged) {
+      // Inexact but usable: the solve stopped at the iteration cap. Surface
+      // it — selection quality may suffer — but keep going.
+      VMAP_LOG(kWarn) << "core " << core_index
+                      << ": group lasso stopped at the iteration cap; using "
+                         "the inexact solution";
+      if (report)
+        report->record("group_lasso", ResilienceAction::kNote,
+                       "core " + std::to_string(core_index) +
+                           ": iteration cap hit; using the inexact solution",
+                       ErrorCode::kNotConverged, gl.budget);
+    }
+    core.group_norms = gl.group_norms;
 
-  if (config.refit_ols) {
-    auto predictor = make_prediction_backend(config.prediction);
-    if (!predictor.ok()) throw StatusError(predictor.status());
-    TraceSpan pred_span("backend.pred." + config.prediction);
-    PredictionFit fit = predictor.value()->fit_core(ctx, core.selected_rows);
-    core.alpha = std::move(fit.alpha);
-    core.intercept = std::move(fit.intercept);
-  } else {
-    // The no-refit ablation reuses the selection statistic as the model;
-    // only backends whose statistic is a regression can supply it.
-    if (!selection.raw_alpha || !selection.raw_intercept)
-      throw StatusError(Status::InvalidArgument(
-          "refit_ols=false needs a selection backend that exposes raw "
-          "coefficients (only 'group_lasso' does), got '" +
-          config.selection + "'"));
-    core.alpha = std::move(*selection.raw_alpha);
-    core.intercept = std::move(*selection.raw_intercept);
+    // The OLS refit needs more samples than regressors, so selections are
+    // capped at N-1 sensors per core.
+    const std::size_t cap =
+        std::min(core.candidate_rows.size(), data.x_train.cols() - 1);
+    SensorSelection selection =
+        config.sensors_per_core
+            ? select_top_k(gl, std::min<std::size_t>(
+                                   *config.sensors_per_core, cap))
+            : select_sensors(gl, config.threshold);
+    if (selection.indices.empty()) {
+      VMAP_LOG(kWarn) << "core " << core_index << ": lambda=" << config.lambda
+                      << " selected no sensor; falling back to the strongest "
+                         "candidate";
+      selection = select_top_k(gl, 1);
+    } else if (selection.indices.size() > cap) {
+      VMAP_LOG(kWarn) << "core " << core_index << ": selection of "
+                      << selection.indices.size()
+                      << " sensors exceeds the sample budget; keeping the top "
+                      << cap;
+      selection = select_top_k(gl, cap);
+    }
+    core.selected_rows.reserve(selection.indices.size());
+    for (std::size_t local : selection.indices)
+      core.selected_rows.push_back(core.candidate_rows[local]);
+
+    if (!config.refit_ols) {
+      gl_coefficients_to_affine(gl, selection.indices, x_norm, f_norm, core);
+      return core;
+    }
   }
+
+  // Step 6 (§2.3): unconstrained OLS refit on the selected raw voltages.
+  TraceSpan pred_span("backend.pred.ols");
+  const OlsModel ols(data.x_train.select_rows(core.selected_rows), f, report);
+  core.alpha = ols.alpha();
+  core.intercept = ols.intercept();
   return core;
 }
 
@@ -188,16 +210,6 @@ PlacementModel fit_placement(const Dataset& data,
   VMAP_REQUIRE(data.critical_block.size() == data.num_blocks(),
                "dataset critical-node/block mapping is inconsistent");
 
-  // Validate both backend names on the caller's thread before fanning out,
-  // so an unknown name fails fast as one InvalidArgument instead of
-  // surfacing from inside the parallel region.
-  {
-    auto selector = make_selection_backend(config.selection);
-    if (!selector.ok()) throw StatusError(selector.status());
-    auto predictor = make_prediction_backend(config.prediction);
-    if (!predictor.ok()) throw StatusError(predictor.status());
-  }
-
   std::vector<CoreModel> cores;
   if (config.per_core) {
     // The per-core problems are independent; fit them concurrently. Each
@@ -205,7 +217,7 @@ PlacementModel fit_placement(const Dataset& data,
     // to the serial fit at any thread count.
     cores.resize(floorplan.core_count());
     parallel_for(0, floorplan.core_count(), [&](std::size_t c) {
-      cores[c] = fit_core(data, floorplan, c,
+      cores[c] = fit_core(data, c,
                           data.candidate_rows_for_core(floorplan, c),
                           data.critical_rows_for_core(floorplan, c),
                           config, report);
@@ -215,7 +227,7 @@ PlacementModel fit_placement(const Dataset& data,
     std::iota(all_candidates.begin(), all_candidates.end(), 0);
     std::vector<std::size_t> all_blocks(data.num_blocks());
     std::iota(all_blocks.begin(), all_blocks.end(), 0);
-    cores.push_back(fit_core(data, floorplan, 0, std::move(all_candidates),
+    cores.push_back(fit_core(data, 0, std::move(all_candidates),
                              std::move(all_blocks), config, report));
   }
 

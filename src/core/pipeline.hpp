@@ -3,8 +3,10 @@
 //
 // For each core (the paper reports per-core sensor counts), the pipeline:
 //   1. normalizes the core's candidate voltages Z and block voltages G,
-//   2. solves the budgeted group lasso (Eq. 12) at the given λ,
-//   3. thresholds ||β_m||₂ > T to select the core's sensors (Step 5),
+//   2. solves the budgeted group lasso (Eq. 12) at the given λ with the
+//      default block-coordinate-descent solver,
+//   3. thresholds ||β_m||₂ > T (or keeps the top k) to select the core's
+//      sensors (Step 5),
 //   4. refits an unconstrained OLS model on the selected raw voltages
 //      (Eq. 17) — or, for the §2.3 ablation, converts the shrunk GL
 //      coefficients back to raw units instead,
@@ -13,28 +15,15 @@
 
 #include <cstddef>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "chip/floorplan.hpp"
 #include "core/dataset.hpp"
-#include "core/group_lasso.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "util/resilience.hpp"
 
 namespace vmap::core {
-
-/// Spatial-surrogate prediction backend knobs (see spatial_surrogate.hpp).
-struct SurrogateOptions {
-  /// Ridge penalty in standardized feature space, scaled by the sample
-  /// count inside the solve (dimensionless).
-  double ridge = 1e-3;
-  /// Inverse-distance weighting exponent for neighbor-voltage aggregates.
-  double idw_power = 2.0;
-  /// Tile radius of the local power-density patch around a monitored node.
-  std::size_t density_radius = 3;
-};
 
 struct PipelineConfig {
   double lambda = 30.0;    ///< per-core GL budget (Eq. 12's λ)
@@ -44,13 +33,6 @@ struct PipelineConfig {
   std::optional<std::size_t> sensors_per_core;
   bool refit_ols = true;   ///< §2.3 refit; false = raw GL coefficients
   bool per_core = true;    ///< false = one chip-wide GL problem
-  GroupLassoOptions gl_options;
-  /// Model backends (core/backend.hpp registry names). The defaults route
-  /// the paper's pipeline — group-lasso selection + OLS refit — through
-  /// the backend seams bit-identically to the historic hard-wired path.
-  std::string selection = "group_lasso";
-  std::string prediction = "ols";
-  SurrogateOptions surrogate;  ///< used when prediction == "spatial"
 };
 
 /// Per-core fitted artifacts.
@@ -81,10 +63,8 @@ class PlacementModel {
   std::size_t num_blocks() const { return num_blocks_; }
 
   /// Predicts all block voltages for every column of a full candidate
-  /// matrix X (M x N): returns K x N.
+  /// matrix X (M x N): returns K x N. One sample is the N = 1 case.
   linalg::Matrix predict(const linalg::Matrix& x_full) const;
-  /// Single-sample variant (x_full has M entries).
-  linalg::Vector predict_sample(const linalg::Vector& x_full) const;
   /// Runtime variant: predicts from the placed sensors' readings only
   /// (aligned with sensor_rows()/sensor_nodes()); this is what on-chip
   /// hardware would evaluate.
@@ -92,28 +72,35 @@ class PlacementModel {
       const linalg::Vector& readings) const;
   /// Micro-batched runtime variant for the serving layer: `readings` is
   /// Q x B (one column per sample, rows aligned with sensor_rows()); returns
-  /// K x B through the blocked matmul kernels. Column b is bit-identical to
-  /// predict_from_sensor_readings(readings.col(b)) — both paths accumulate
-  /// each output in the same ascending-k order — so batching a fleet of
-  /// chips cannot change any single chip's alarm decision.
+  /// K x B. All three predict calls share one routine, so column b is
+  /// bit-identical to predict_from_sensor_readings(readings.col(b)) and
+  /// batching a fleet of chips cannot change any single chip's alarm
+  /// decision.
   linalg::Matrix predict_from_sensor_readings_batch(
       const linalg::Matrix& readings) const;
 
  private:
+  /// The one gather -> matmul -> scatter: each column of `x` is a sample,
+  /// and core c reads its j-th selected sensor from row rows_of(c)[j] of x
+  /// — the candidate row itself for a full X, or its position in
+  /// sensor_rows() for readings.
+  linalg::Matrix predict_columns(const linalg::Matrix& x,
+                                 bool x_is_readings) const;
+
   std::vector<CoreModel> cores_;
   std::vector<std::size_t> sensor_rows_;
+  /// Per core: the positions of its selected rows within sensor_rows_.
+  std::vector<std::vector<std::size_t>> reading_rows_;
   std::vector<std::size_t> sensor_nodes_;
   std::size_t num_blocks_ = 0;
 };
 
-/// Runs the methodology on a dataset. Throws on configuration errors —
-/// including StatusError(kInvalidArgument) for an unknown backend name,
-/// raised before any per-core work starts; falls back to the strongest
-/// single candidate if a core's GL solution selects nothing at the given
-/// λ/T (logged). Numerical breakdowns are handled by the solver guardrails
-/// (FISTA → BCD retry, rank-deficient OLS → ridge refit); each recovery is
-/// recorded into `report` when one is supplied. Throws StatusError only
-/// when every fallback fails.
+/// Runs the methodology on a dataset. Throws on configuration errors;
+/// falls back to the strongest single candidate if a core's GL solution
+/// selects nothing at the given λ/T (logged). A rank-deficient OLS design
+/// refits via ridge-jittered normal equations, recorded into `report` when
+/// one is supplied. Throws StatusError when the group-lasso solve breaks
+/// down numerically.
 PlacementModel fit_placement(const Dataset& data,
                              const chip::Floorplan& floorplan,
                              const PipelineConfig& config,

@@ -187,20 +187,6 @@ double PowerGrid::distance_um(std::size_t a, std::size_t b) const {
   return std::hypot(xa - xb, ya - yb);
 }
 
-double PowerGrid::nearest_pad_distance_um(std::size_t node) const {
-  VMAP_REQUIRE(node < total_nodes_, "node id out of range");
-  VMAP_ASSERT(!pad_nodes_.empty(), "grid without pads");
-  double best = distance_um(node, pad_nodes_[0]);
-  for (std::size_t i = 1; i < pad_nodes_.size(); ++i)
-    best = std::min(best, distance_um(node, pad_nodes_[i]));
-  return best;
-}
-
-double PowerGrid::die_diagonal_um() const {
-  return std::hypot(static_cast<double>(config_.nx) * config_.pitch_um,
-                    static_cast<double>(config_.ny) * config_.pitch_um);
-}
-
 bool PowerGrid::is_pad(std::size_t id) const {
   VMAP_REQUIRE(id < total_nodes_, "node id out of range");
   return pad_mask_[id];

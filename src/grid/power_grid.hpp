@@ -95,14 +95,6 @@ class PowerGrid {
   /// Euclidean distance between two nodes (µm), ignoring layer.
   double distance_um(std::size_t a, std::size_t b) const;
 
-  /// Distance (µm) from `node` to the nearest VDD pad under the active pad
-  /// arrangement — a patch feature for spatially-aware model backends
-  /// (nodes far from every pad see deeper IR drop). O(#pads).
-  double nearest_pad_distance_um(std::size_t node) const;
-
-  /// Die diagonal (µm): the natural normalizer for on-die distances.
-  double die_diagonal_um() const;
-
   /// True when the top-metal layer is present.
   bool has_top_layer() const { return config_.two_layer; }
   /// Top-layer node ids (empty in single-layer mode).

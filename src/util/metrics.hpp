@@ -101,7 +101,9 @@ class Histogram {
 /// histograms (values in milliseconds).
 std::vector<double> default_time_buckets_ms();
 
-/// Geometric 1 … 4096 ladder for iteration-count histograms.
+/// Geometric 1 … 32768 ladder for iteration-count histograms: past the
+/// group-lasso sweep cap (8000 by default, 20000 in the solver ablation),
+/// so a capped solve lands in a finite bucket instead of the overflow.
 std::vector<double> default_iteration_buckets();
 
 /// Looks up (or registers) a metric by name. References stay valid for

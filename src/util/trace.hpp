@@ -18,7 +18,6 @@
 // tools/trace_summary.py prints the top spans by self-time from it.
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -160,8 +159,10 @@ class TraceSpan {
   void flight_begin(const char* name) {
     flight_name_[0] = '\0';
     if (!flight::enabled()) return;
-    std::strncpy(flight_name_, name, sizeof(flight_name_) - 1);
-    flight_name_[sizeof(flight_name_) - 1] = '\0';
+    std::size_t n = 0;
+    for (; n + 1 < sizeof(flight_name_) && name[n] != '\0'; ++n)
+      flight_name_[n] = name[n];
+    flight_name_[n] = '\0';
     flight::record(flight::EventKind::kSpanBegin, flight_name_);
   }
 

@@ -1,10 +1,11 @@
-// Tests for the extension layer: placement baselines, automatic lambda
-// selection, sensor noise, the online monitor, and RLS adaptation.
+// Tests for the extension layer: placement baselines, the runtime predict
+// paths, sensor noise, the online monitor, and RLS adaptation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "chip/floorplan.hpp"
@@ -12,7 +13,6 @@
 #include "core/correlation_map.hpp"
 #include "core/dataset.hpp"
 #include "core/experiment.hpp"
-#include "core/lambda_selection.hpp"
 #include "core/ols_model.hpp"
 #include "core/online_monitor.hpp"
 #include "core/pipeline.hpp"
@@ -206,42 +206,31 @@ TEST_F(ExtensionsTest, EvaluatePlacementReportsConsistently) {
   EXPECT_EQ(eval.detection.samples, data_->x_test.cols());
 }
 
-TEST_F(ExtensionsTest, AutoLambdaStopsAtFirstTargetMeetingPoint) {
-  const auto result =
-      auto_select_lambda(*data_, *plan_, /*target=*/0.01,
-                         {1.0, 4.0, 16.0});
-  ASSERT_FALSE(result.path.empty());
-  EXPECT_TRUE(result.met_target);
-  EXPECT_LE(result.chosen.relative_error, 0.01);
-  // Path must stop at the chosen lambda.
-  EXPECT_EQ(result.path.back().lambda, result.chosen.lambda);
-  // Larger lambda in the path => at least as many sensors.
-  for (std::size_t i = 1; i < result.path.size(); ++i)
-    EXPECT_GE(result.path[i].sensors + 1, result.path[i - 1].sensors);
-}
-
-TEST_F(ExtensionsTest, AutoLambdaUnreachableTargetReportsBestEffort) {
-  const auto result =
-      auto_select_lambda(*data_, *plan_, /*target=*/1e-9, {1.0, 2.0});
-  EXPECT_FALSE(result.met_target);
-  EXPECT_EQ(result.path.size(), 2u);
-  // Chosen = the most accurate of the tried points.
-  for (const auto& p : result.path)
-    EXPECT_GE(p.relative_error, result.chosen.relative_error);
-}
-
 TEST_F(ExtensionsTest, PredictFromSensorReadingsMatchesFullPrediction) {
   PipelineConfig config;
   config.lambda = 6.0;
   const auto model = fit_placement(*data_, *plan_, config);
-  const linalg::Vector x_full = data_->x_test.col(3);
-  linalg::Vector readings(model.sensor_rows().size());
-  for (std::size_t i = 0; i < readings.size(); ++i)
-    readings[i] = x_full[model.sensor_rows()[i]];
-  const auto direct = model.predict_sample(x_full);
-  const auto via_sensors = model.predict_from_sensor_readings(readings);
-  for (std::size_t k = 0; k < direct.size(); ++k)
-    EXPECT_DOUBLE_EQ(via_sensors[k], direct[k]);
+  const std::vector<std::size_t>& rows = model.sensor_rows();
+  const linalg::Matrix readings = data_->x_test.select_rows(rows);
+  const linalg::Matrix direct = model.predict(data_->x_test);
+  const linalg::Matrix batch =
+      model.predict_from_sensor_readings_batch(readings);
+  ASSERT_EQ(batch.rows(), direct.rows());
+  ASSERT_EQ(batch.cols(), direct.cols());
+  // Every column, bit for bit, through all three predict calls.
+  for (std::size_t s = 0; s < data_->x_test.cols(); ++s) {
+    const linalg::Vector one =
+        model.predict_from_sensor_readings(readings.col(s));
+    const linalg::Vector want = direct.col(s);
+    const linalg::Vector got_batch = batch.col(s);
+    ASSERT_EQ(one.size(), want.size());
+    EXPECT_EQ(std::memcmp(one.data(), want.data(),
+                          want.size() * sizeof(double)), 0)
+        << "sample " << s;
+    EXPECT_EQ(std::memcmp(got_batch.data(), want.data(),
+                          want.size() * sizeof(double)), 0)
+        << "sample " << s;
+  }
 }
 
 TEST_F(ExtensionsTest, OnlineMonitorDebouncesAlarms) {

@@ -126,9 +126,11 @@ TEST_F(IntegrationTest, SampleAndMatrixPredictionsAgree) {
   config.lambda = 8.0;
   const PlacementModel model = fit_placement(*data_, *plan_, config);
   const linalg::Matrix all = model.predict(data_->x_test);
-  const linalg::Vector one = model.predict_sample(data_->x_test.col(5));
-  for (std::size_t k = 0; k < one.size(); ++k)
-    EXPECT_NEAR(one[k], all(k, 5), 1e-12);
+  linalg::Matrix column(data_->x_test.rows(), 1);
+  column.set_col(0, data_->x_test.col(5));
+  const linalg::Matrix one = model.predict(column);
+  for (std::size_t k = 0; k < one.rows(); ++k)
+    EXPECT_EQ(one(k, 0), all(k, 5));
 }
 
 TEST_F(IntegrationTest, MoreSensorsGiveLowerError) {
@@ -262,12 +264,15 @@ TEST_F(IntegrationTest, VoltageMapInterpolatesKnownValues) {
 
   const std::size_t sample = 3;
   const linalg::Vector x_sample = data_->x_test.col(sample);
-  const linalg::Vector f_pred = model.predict_sample(x_sample);
+  const std::size_t q = model.sensor_rows().size();
+  linalg::Vector readings(q);
+  for (std::size_t i = 0; i < q; ++i)
+    readings[i] = x_sample[model.sensor_rows()[i]];
+  const linalg::Vector f_pred = model.predict_from_sensor_readings(readings);
   linalg::Vector known_values(known.size());
-  for (std::size_t i = 0; i < model.sensor_rows().size(); ++i)
-    known_values[i] = x_sample[model.sensor_rows()[i]];
+  for (std::size_t i = 0; i < q; ++i) known_values[i] = readings[i];
   for (std::size_t k = 0; k < f_pred.size(); ++k)
-    known_values[model.sensor_rows().size() + k] = f_pred[k];
+    known_values[q + k] = f_pred[k];
 
   const linalg::Vector map = builder.build(known_values);
   ASSERT_EQ(map.size(), grid_->node_count());

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -166,6 +167,23 @@ TEST(Metrics, QuantileClampsOverflowToLastBound) {
   const auto snap = h.snapshot();
   EXPECT_DOUBLE_EQ(metrics::histogram_quantile(snap, 0.5), 8.0);
   EXPECT_DOUBLE_EQ(metrics::histogram_quantile(snap, 0.99), 8.0);
+}
+
+TEST(Metrics, IterationBucketsResolveCappedSolves) {
+  // A group-lasso solve stopped at the default 8000-sweep cap must land in
+  // a finite bucket, so the sweep-count quantiles can read past 4096.
+  metrics::Histogram& h = metrics::histogram(
+      "test.hist.iterations.capped", metrics::default_iteration_buckets());
+  h.reset();
+  for (int i = 0; i < 10; ++i) h.observe(8000.0);
+  const auto snap = h.snapshot();
+  ASSERT_EQ(snap.counts.size(), snap.bounds.size() + 1);
+  EXPECT_EQ(snap.counts.back(), 0u) << "capped solve fell into +Inf";
+  const auto bucket = std::lower_bound(snap.bounds.begin(),
+                                       snap.bounds.end(), 8000.0) -
+                      snap.bounds.begin();
+  EXPECT_EQ(snap.counts[static_cast<std::size_t>(bucket)], 10u);
+  EXPECT_GT(metrics::histogram_quantile(snap, 0.99), 4096.0);
 }
 
 TEST(Metrics, QuantileOfEmptyHistogramIsZero) {

@@ -1,15 +1,27 @@
-// OLS model, sensor selection, and Eagle-Eye baseline tests.
+// OLS model, sensor selection, and placement-pipeline tests. The pipeline
+// tests hold fit_placement to an inline reference of the paper's per-core
+// fit (normalize -> budgeted GL -> capped selection -> OLS refit), bit for
+// bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "chip/floorplan.hpp"
+#include "core/dataset.hpp"
+#include "core/experiment.hpp"
 #include "core/group_lasso.hpp"
+#include "core/normalizer.hpp"
 #include "core/ols_model.hpp"
+#include "core/pipeline.hpp"
 #include "core/sensor_selection.hpp"
+#include "grid/power_grid.hpp"
 #include "linalg/matrix.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/status.hpp"
+#include "workload/benchmark_suite.hpp"
 
 namespace vmap::core {
 namespace {
@@ -165,6 +177,110 @@ TEST(SensorSelection, TopKBoundsChecked) {
   GroupLassoResult result;
   result.group_norms = linalg::Vector{0.5};
   EXPECT_THROW(select_top_k(result, 2), vmap::ContractError);
+}
+
+class PipelineFitTest : public ::testing::Test {
+ protected:
+  PipelineFitTest()
+      : setup_(small_setup()),
+        grid_(setup_.grid),
+        plan_(grid_, setup_.floorplan) {}
+
+  /// One dataset for the whole suite: collection dominates test time.
+  const Dataset& data() {
+    static Dataset* cached = nullptr;
+    if (!cached) {
+      DataConfig config = small_setup().data;
+      config.warmup_steps = 30;
+      config.train_maps_per_benchmark = 40;
+      config.test_maps_per_benchmark = 15;
+      config.calibration_steps = 80;
+      auto suite = workload::parsec_like_suite();
+      suite.resize(2);
+      cached = new Dataset(DataCollector(grid_, plan_, config).collect(suite));
+    }
+    return *cached;
+  }
+
+  ExperimentSetup setup_;
+  grid::PowerGrid grid_;
+  chip::Floorplan plan_;
+};
+
+/// The paper's per-core fit written out inline, operation for operation
+/// (normalize -> budgeted GL -> capped selection -> OLS refit): the
+/// reference fit_placement must match to the last bit.
+CoreModel legacy_fit_core(const Dataset& data, const chip::Floorplan& plan,
+                          std::size_t core_index,
+                          const PipelineConfig& config) {
+  CoreModel core;
+  core.core = core_index;
+  core.candidate_rows = data.candidate_rows_for_core(plan, core_index);
+  core.block_rows = data.critical_rows_for_core(plan, core_index);
+
+  const linalg::Matrix x = data.x_train.select_rows(core.candidate_rows);
+  const linalg::Matrix f = data.f_train.select_rows(core.block_rows);
+  const Normalizer x_norm(x);
+  const Normalizer f_norm(f);
+  const GroupLassoProblem problem =
+      GroupLassoProblem::from_data(x_norm.normalize(x), f_norm.normalize(f));
+  GroupLasso solver(problem);
+  const GroupLassoResult gl = solver.solve_budget(config.lambda);
+  if (!gl.status.ok()) throw StatusError(gl.status);
+  core.group_norms = gl.group_norms;
+
+  const std::size_t cap =
+      std::min(core.candidate_rows.size(), data.x_train.cols() - 1);
+  SensorSelection selection =
+      config.sensors_per_core
+          ? select_top_k(gl,
+                         std::min<std::size_t>(*config.sensors_per_core, cap))
+          : select_sensors(gl, config.threshold);
+  if (selection.indices.empty()) selection = select_top_k(gl, 1);
+  for (std::size_t local : selection.indices)
+    core.selected_rows.push_back(core.candidate_rows[local]);
+
+  const linalg::Matrix x_sel = data.x_train.select_rows(core.selected_rows);
+  OlsModel ols(x_sel, f, nullptr);
+  core.alpha = ols.alpha();
+  core.intercept = ols.intercept();
+  return core;
+}
+
+TEST_F(PipelineFitTest, DefaultPathBitIdenticalToLegacyPipeline) {
+  PipelineConfig config;
+  config.lambda = 6.0;
+  config.sensors_per_core = 2;
+
+  const PlacementModel model = fit_placement(data(), plan_, config);
+  ASSERT_EQ(model.cores().size(), plan_.core_count());
+  for (std::size_t c = 0; c < plan_.core_count(); ++c) {
+    const CoreModel legacy = legacy_fit_core(data(), plan_, c, config);
+    const CoreModel& fitted = model.cores()[c];
+    ASSERT_EQ(fitted.selected_rows, legacy.selected_rows) << "core " << c;
+    ASSERT_EQ(fitted.group_norms.size(), legacy.group_norms.size());
+    for (std::size_t m = 0; m < legacy.group_norms.size(); ++m)
+      ASSERT_EQ(fitted.group_norms[m], legacy.group_norms[m])
+          << "core " << c << " norm " << m;  // exact, not approximate
+    ASSERT_EQ(fitted.alpha.rows(), legacy.alpha.rows());
+    ASSERT_EQ(fitted.alpha.cols(), legacy.alpha.cols());
+    for (std::size_t k = 0; k < legacy.alpha.rows(); ++k) {
+      ASSERT_EQ(fitted.intercept[k], legacy.intercept[k])
+          << "core " << c << " block " << k;
+      for (std::size_t j = 0; j < legacy.alpha.cols(); ++j)
+        ASSERT_EQ(fitted.alpha(k, j), legacy.alpha(k, j))
+            << "core " << c << " (" << k << "," << j << ")";
+    }
+  }
+}
+
+TEST_F(PipelineFitTest, NoRefitAblationStillFits) {
+  PipelineConfig config;
+  config.lambda = 6.0;
+  config.sensors_per_core = 2;
+  config.refit_ols = false;
+  const PlacementModel model = fit_placement(data(), plan_, config);
+  EXPECT_LT(relative_error(data().f_test, model.predict(data().x_test)), 0.5);
 }
 
 }  // namespace

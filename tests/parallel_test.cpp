@@ -129,6 +129,15 @@ TEST(ParallelInvoke, RunsEveryTask) {
   EXPECT_EQ(mask.load(), 0b11111);
 }
 
+/// Byte equality of two matrices. An empty matrix's data() may be null,
+/// which memcmp must not see, so zero sizes compare without it.
+bool matrices_identical(const linalg::Matrix& x, const linalg::Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         (x.rows() * x.cols() == 0 ||
+          std::memcmp(x.data(), y.data(),
+                      x.rows() * x.cols() * sizeof(double)) == 0);
+}
+
 TEST(ParallelMatmul, BlockedKernelsBitIdenticalToReference) {
   ThreadCountGuard guard;
   Rng rng(123);
@@ -167,18 +176,8 @@ TEST(ParallelMatmul, TransposedProductsMatchSerialBitwise) {
   set_thread_count(4);
   const linalg::Matrix atb4 = linalg::matmul_at_b(a, b);
   const linalg::Matrix abt4 = linalg::matmul_a_bt(d, d);
-  EXPECT_EQ(std::memcmp(atb1.data(), atb4.data(),
-                        atb1.rows() * atb1.cols() * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(abt1.data(), abt4.data(),
-                        abt1.rows() * abt1.cols() * sizeof(double)),
-            0);
-}
-
-bool matrices_identical(const linalg::Matrix& x, const linalg::Matrix& y) {
-  return x.rows() == y.rows() && x.cols() == y.cols() &&
-         std::memcmp(x.data(), y.data(),
-                     x.rows() * x.cols() * sizeof(double)) == 0;
+  EXPECT_TRUE(matrices_identical(atb1, atb4));
+  EXPECT_TRUE(matrices_identical(abt1, abt4));
 }
 
 // --- SIMD microkernel bit-identity ---------------------------------------

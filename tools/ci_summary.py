@@ -17,7 +17,7 @@ Three sections, each emitted only when its input is present:
   (wall/calibration vs baseline wall/calibration, the same number
   tools/perf_gate.py gates on). Baselines are looked up as
   <baselines-dir>/<bench>.json; a missing baseline just drops the
-  comparison columns. Report tags (backend names etc.) are shown next
+  comparison columns. Report tags (ablation sections etc.) are shown next
   to the bench name so ablation rows are self-describing.
 
 Always exits 0 — the summary must never fail a job; gating is

@@ -11,11 +11,6 @@ Two kinds of checks, matching what write_report() emits:
   bit-identity flags). They are compared for exact equality — the C++
   side serializes them with %.17g, which round-trips IEEE doubles, so
   any drift at all is a real numerical change and fails the gate.
-  Scalars whose name matches a ``--fuzzy-scalar`` glob (repeatable) are
-  instead tolerance-gated: |actual - expected| <= fuzzy-atol +
-  fuzzy-rtol * |expected|. Use this for results that are legitimately
-  run-to-run sensitive (e.g. iterative-solver outputs under different
-  thread counts) while everything else stays byte-exact.
 
 * ``timings_ms`` are wall-clock measurements. Raw wall time is
   machine-dependent, so each report carries ``calibration_ms`` (a fixed
@@ -33,7 +28,6 @@ Exit status: 0 = within bounds, 1 = regression, 2 = usage/IO error.
 """
 
 import argparse
-import fnmatch
 import json
 import os
 import sys
@@ -101,16 +95,6 @@ def main():
                              "(default 0.15 = 15%%)")
     parser.add_argument("--min-wall-ms", type=float, default=20.0,
                         help="baseline timings below this are not gated")
-    parser.add_argument("--fuzzy-scalar", action="append", default=[],
-                        metavar="GLOB",
-                        help="scalar-name glob gated with a tolerance "
-                             "instead of byte-exact equality (repeatable)")
-    parser.add_argument("--fuzzy-rtol", type=float, default=0.10,
-                        help="relative tolerance for --fuzzy-scalar matches "
-                             "(default 0.10)")
-    parser.add_argument("--fuzzy-atol", type=float, default=1e-6,
-                        help="absolute tolerance for --fuzzy-scalar matches "
-                             "(default 1e-6)")
     args = parser.parse_args()
 
     base = load(args.baseline, "baseline", args.baseline)
@@ -128,30 +112,12 @@ def main():
                             args.baseline)
     cur_scalars = as_pairs(cur, "scalars", "current-run", args.current,
                            args.baseline)
-    fuzzy_count = 0
     for name, expected in sorted(base_scalars.items()):
         if name not in cur_scalars:
             failures.append(f"scalar missing from current run: {name}")
-            continue
-        actual = cur_scalars[name]
-        fuzzy = any(fnmatch.fnmatchcase(name, g) for g in args.fuzzy_scalar)
-        if fuzzy:
-            fuzzy_count += 1
-            try:
-                a, e = float(actual), float(expected)
-            except (TypeError, ValueError):
-                failures.append(
-                    f"fuzzy scalar {name} is not numeric (baseline "
-                    f"{expected!r}, current {actual!r})")
-                continue
-            bound = args.fuzzy_atol + args.fuzzy_rtol * abs(e)
-            if abs(a - e) > bound:
-                failures.append(
-                    f"fuzzy scalar drift: {name} = {a!r}, baseline {e!r} "
-                    f"(|diff| {abs(a - e):.3g} > {bound:.3g})")
-        elif actual != expected:
-            failures.append(
-                f"scalar drift: {name} = {actual!r}, baseline {expected!r}")
+        elif cur_scalars[name] != expected:
+            failures.append(f"scalar drift: {name} = {cur_scalars[name]!r}, "
+                            f"baseline {expected!r}")
     for name in sorted(set(cur_scalars) - set(base_scalars)):
         # New scalars are fine (the next baseline refresh picks them up)
         # but say so, to keep additions visible in CI logs.
@@ -219,10 +185,8 @@ def main():
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         return 1
-    exact = len(base_scalars) - fuzzy_count
-    fuzzy_note = (f" ({fuzzy_count} tolerance-gated)" if fuzzy_count else "")
     print(f"\nperf_gate OK for {bench}: "
-          f"{exact} scalars identical{fuzzy_note}, timings within "
+          f"{len(base_scalars)} scalars identical, timings within "
           f"{args.tolerance:.0%}")
     return 0
 

@@ -99,17 +99,18 @@ def print_summary(events, top):
 
 
 def print_backends(events):
-    """Model-backend section: 'backend.sel.<name>' / 'backend.pred.<name>'
-    spans emitted by the placement pipeline, aggregated per backend so a
-    fit's time splits into selection vs prediction at a glance. Silent when
-    the trace has no backend spans (non-pipeline workloads)."""
+    """Fit-stage section: the placement pipeline's 'backend.sel.group_lasso'
+    (normalize + group lasso + selection) and 'backend.pred.ols' (OLS
+    refit) spans, aggregated so a fit's time splits into selection vs
+    refit at a glance. Silent when the trace has no such spans
+    (non-pipeline workloads)."""
     backend = [e for e in events
                if e.get("name", "").startswith("backend.")]
     if not backend:
         return
     stats = span_stats(backend, lambda e: e.get("name", "?"))
     print()
-    header = f"{'model backend':<36} {'count':>8} {'total(ms)':>12} " \
+    header = f"{'fit stage':<36} {'count':>8} {'total(ms)':>12} " \
              f"{'mean(ms)':>10}"
     print(header)
     print("-" * len(header))
