@@ -175,14 +175,17 @@ void scenario_nan_storm(Harness& h) {
   constexpr std::uint64_t kSamples = 400;
   for (std::size_t c = 0; c < kChips; ++c)
     fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId lane = fleet.register_producer();
 
   linalg::Vector nan_vec(spec.sensors,
                          std::numeric_limits<double>::quiet_NaN());
   for (std::uint64_t t = 1; t <= kSamples; ++t) {
     for (ChipId chip = 0; chip < kChips; ++chip) {
       const bool storm = chip == kVictim && t > 100 && t <= 140;
-      fleet.ingest(make_reading(
-          chip, t, storm ? nan_vec : synthetic_reading(spec, chip, t)));
+      fleet.ingest(lane,
+                   make_reading(chip, t,
+                                storm ? nan_vec
+                                      : synthetic_reading(spec, chip, t)));
     }
     if (t % 25 == 0) fleet.pump();
     // The storm drives the victim to Suspended; the operator lifts it after
@@ -234,7 +237,7 @@ void scenario_nan_storm(Harness& h) {
 // ---------------------------------------------------------------------------
 // Scenario: burst overload
 //
-// Bursts larger than the shard queues force the reject-newest shed policy.
+// Bursts larger than the lane's rings force the reject-newest shed policy.
 // In pump mode admission is sequential, so the accepted subsequence is
 // deterministic: the harness records it at ingest time, replays it through
 // reference monitors, and requires bit-identical decisions — overload may
@@ -245,7 +248,7 @@ void scenario_burst_overload(Harness& h) {
   SyntheticFleetSpec spec;
   FleetConfig fc;
   fc.shards = 2;
-  fc.queue_capacity = 24;
+  fc.producer_ring_capacity = 24;
   fc.max_batch = 16;
   MonitorFleet fleet(fc);
   auto model = make_synthetic_model(spec);
@@ -254,6 +257,7 @@ void scenario_burst_overload(Harness& h) {
   constexpr std::uint64_t kBurstLen = 30;  // 60 per shard vs capacity 24
   for (std::size_t c = 0; c < kChips; ++c)
     fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId lane = fleet.register_producer();
 
   std::vector<std::vector<std::uint64_t>> accepted_seqs(kChips);
   std::uint64_t shed = 0;
@@ -262,7 +266,7 @@ void scenario_burst_overload(Harness& h) {
       const std::uint64_t t = burst * kBurstLen + i;
       for (ChipId chip = 0; chip < kChips; ++chip) {
         const auto result = fleet.ingest(
-            make_reading(chip, t, synthetic_reading(spec, chip, t)));
+            lane, make_reading(chip, t, synthetic_reading(spec, chip, t)));
         if (result.accepted)
           accepted_seqs[chip].push_back(t);
         else
@@ -313,7 +317,6 @@ void scenario_stuck_shard(Harness& h) {
   SyntheticFleetSpec spec;
   FleetConfig fc;
   fc.shards = 2;
-  fc.queue_capacity = 4096;
   fc.stall_timeout_ms = 80.0;
   fc.watchdog_period_ms = 10.0;
   MonitorFleet fleet(fc);
@@ -321,13 +324,14 @@ void scenario_stuck_shard(Harness& h) {
   // Chips 0 and 2 share shard 0; chip 1 rides shard 1 (chip % shards).
   for (int c = 0; c < 3; ++c)
     fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId lane = fleet.register_producer();
   fleet.set_chaos_delay_ms(0, 600.0);
 
   fleet.start();
   std::uint64_t enqueued = 0;
   auto feed = [&](ChipId chip, std::uint64_t seq) {
-    if (fleet.ingest(
-              make_reading(chip, seq, synthetic_reading(spec, chip, seq)))
+    if (fleet.ingest(lane, make_reading(chip, seq,
+                                        synthetic_reading(spec, chip, seq)))
             .accepted)
       ++enqueued;
   };
@@ -396,6 +400,7 @@ void scenario_checkpoint_kill(Harness& h, const std::string& ckpt_path) {
   FleetConfig fc;
   fc.shards = 2;
   auto model = make_synthetic_model(spec);
+  ProducerId lane = 0;  // every fleet build() makes has one lane
   auto build = [&]() {
     auto fleet = std::make_unique<MonitorFleet>(fc);
     // Chip 0 is fault-tolerant (detector + degraded bank state rides the
@@ -403,6 +408,7 @@ void scenario_checkpoint_kill(Harness& h, const std::string& ckpt_path) {
     fleet->add_chip(make_synthetic_monitor(spec, model, true), model);
     for (std::size_t c = 1; c < kChips; ++c)
       fleet->add_chip(make_synthetic_monitor(spec, model, false), model);
+    lane = fleet->register_producer();
     return fleet;
   };
   auto advance = [&](MonitorFleet& fleet, std::uint64_t first,
@@ -410,7 +416,7 @@ void scenario_checkpoint_kill(Harness& h, const std::string& ckpt_path) {
     for (std::uint64_t t = first; t <= last; ++t) {
       for (ChipId chip = 0; chip < kChips; ++chip)
         fleet.ingest(
-            make_reading(chip, t, synthetic_reading(spec, chip, t)));
+            lane, make_reading(chip, t, synthetic_reading(spec, chip, t)));
       if (t % 50 == 0) fleet.pump();
     }
     fleet.pump();
@@ -495,7 +501,6 @@ ThroughputRow run_throughput(const SyntheticFleetSpec& spec,
                              std::uint64_t samples, Harness& h) {
   FleetConfig fc;
   fc.shards = shards;
-  fc.queue_capacity = 16384;
   fc.max_batch = 256;
   fc.producer_ring_capacity = 16384;
   MonitorFleet fleet(fc);
@@ -503,10 +508,9 @@ ThroughputRow run_throughput(const SyntheticFleetSpec& spec,
   for (std::size_t c = 0; c < chips; ++c)
     fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
 
-  // The whole synthetic feed runs on this one thread, so a single producer
-  // lane gives it the mutex-free SPSC fast path into every shard. The chaos
-  // scenarios keep plain ingest(): their invariants are about the shared
-  // queue path.
+  // The whole synthetic feed runs on this one thread, so one producer lane
+  // carries it into every shard — the same ingest path the chaos scenarios
+  // prove loss-free.
   const ProducerId producer = fleet.register_producer();
   // Scope the alarm-latency histogram to this run so the reported
   // quantiles describe one (shards, rep) configuration, not the whole

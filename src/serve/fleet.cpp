@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
+#include <iterator>
 #include <map>
 #include <utility>
 
@@ -15,6 +15,8 @@ namespace vmap::serve {
 namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
+/// How long an idle worker sleeps before polling its rings again.
+constexpr double kIdleWaitMs = 2.0;
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -89,13 +91,12 @@ void run_prediction_plan(const std::vector<PredictionGroup>& plan,
 
 MonitorFleet::MonitorFleet(FleetConfig config) : config_(config) {
   config_.shards = std::max<std::size_t>(1, config_.shards);
-  config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
+  config_.producer_ring_capacity =
+      std::max<std::size_t>(1, config_.producer_ring_capacity);
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->queue =
-        std::make_unique<BoundedQueue<Reading>>(config_.queue_capacity);
     const std::string prefix = "serve.shard" + std::to_string(i);
     shard->depth_gauge = &metrics::gauge(prefix + ".queue_depth");
     shard->inflight_age_gauge = &metrics::gauge(prefix + ".inflight_age_ms");
@@ -120,33 +121,12 @@ ChipId MonitorFleet::add_chip(
   return id;
 }
 
-IngestResult MonitorFleet::ingest(Reading reading) {
-  if (!accepting_.load(std::memory_order_acquire))
-    return {false, RejectReason::kStopped};
-  if (reading.chip >= chips_.size())
-    return {false, RejectReason::kUnknownChip};
-  reading.ingest_ms = now_ms();
-  ingested_.fetch_add(1, kRelaxed);
-  Shard& shard = *shards_[shard_of(reading.chip)];
-  ChipDomain& domain = *chips_[reading.chip];
-  std::lock_guard<std::mutex> route(shard.route_mutex);
-  if (shard.queue->closed()) return {false, RejectReason::kStopped};
-  if (shard.queue->try_push(std::move(reading))) {
-    enqueued_.fetch_add(1, kRelaxed);
-    shard.depth_gauge->set(static_cast<double>(shard.queue->size()));
-    return {true, RejectReason::kNone};
-  }
-  shed_.fetch_add(1, kRelaxed);
-  domain.count_shed();
-  return {false, RejectReason::kShed};
-}
-
 ProducerId MonitorFleet::register_producer() {
   VMAP_REQUIRE(!running(), "register_producer while the fleet is running");
   const ProducerId id = producer_count_++;
   for (auto& shard : shards_)
-    shard->rings.push_back(std::make_unique<SpscRing<Reading>>(
-        std::max<std::size_t>(1, config_.producer_ring_capacity)));
+    shard->rings.push_back(
+        std::make_unique<SpscRing<Reading>>(config_.producer_ring_capacity));
   return id;
 }
 
@@ -164,33 +144,49 @@ IngestResult MonitorFleet::ingest(ProducerId producer, Reading reading) {
     enqueued_.fetch_add(1, kRelaxed);
     return {true, RejectReason::kNone};
   }
-  // Ring full: shed the newest, exactly like a full shard queue. Spilling
-  // into the shared queue instead would reorder this producer's feed
-  // around its ring backlog and the per-chip sequence check would then
-  // reject the ring's stragglers as stale replays.
+  // Ring full: shed the newest, so what was already admitted still drains
+  // within a bounded delay.
   shed_.fetch_add(1, kRelaxed);
   chips_[chip]->count_shed();
   return {false, RejectReason::kShed};
 }
 
-bool MonitorFleet::drain_rings(Shard& shard, std::vector<Reading>& batch,
-                               std::uint64_t my_gen, std::size_t limit) {
-  if (shard.rings.empty()) return true;
-  std::lock_guard<std::mutex> lock(shard.inflight_mutex);
-  if (shard.generation != my_gen) return false;
+std::vector<Reading> MonitorFleet::take_batch(Shard& shard) {
+  const std::size_t from_handback =
+      std::min(config_.max_batch, shard.handback.size());
+  std::vector<Reading> batch(
+      std::make_move_iterator(shard.handback.begin()),
+      std::make_move_iterator(shard.handback.begin() + from_handback));
+  shard.handback.erase(shard.handback.begin(),
+                       shard.handback.begin() + from_handback);
   Reading reading;
-  for (auto& ring : shard.rings) {
-    while (batch.size() < limit && ring->pop(reading))
+  for (auto& ring : shard.rings)
+    while (batch.size() < config_.max_batch && ring->pop(reading))
       batch.push_back(std::move(reading));
-    if (batch.size() >= limit) break;
-  }
-  return true;
+  return batch;
 }
 
-bool MonitorFleet::rings_look_empty(const Shard& shard) const {
-  for (const auto& ring : shard.rings)
-    if (!ring->empty()) return false;
-  return true;
+std::size_t MonitorFleet::drain_shard(Shard& shard) {
+  std::size_t handled = 0;
+  for (;;) {
+    std::vector<Reading> batch;
+    {
+      std::lock_guard<std::mutex> lock(shard.inflight_mutex);
+      batch = take_batch(shard);
+    }
+    if (batch.empty()) return handled;
+    handled += batch.size();
+    std::vector<linalg::Vector> precomputed(batch.size());
+    if (config_.batch_predictions)
+      run_prediction_plan(build_prediction_plan(chips_, batch), precomputed);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const double delay = chaos_delay_ms_[batch[i].chip]->load(kRelaxed);
+      if (delay > 0) sleep_ms(delay);
+      decide_one(batch[i],
+                 precomputed[i].size() ? &precomputed[i] : nullptr);
+      shard.handled.fetch_add(1, kRelaxed);
+    }
+  }
 }
 
 std::size_t MonitorFleet::pump() {
@@ -198,24 +194,9 @@ std::size_t MonitorFleet::pump() {
   std::vector<std::size_t> handled(shards_.size(), 0);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    tasks.push_back([this, i, &handled] {
-      Shard& shard = *shards_[i];
-      std::vector<Reading> batch;
-      for (;;) {
-        batch.clear();
-        shard.queue->pop_batch(batch, config_.max_batch,
-                               std::chrono::milliseconds(0));
-        // Not running, so the generation is quiescent and this task is the
-        // shard's only ring consumer.
-        drain_rings(shard, batch, shard.generation, config_.max_batch);
-        if (batch.empty()) break;
-        handled[i] += batch.size();
-        execute_batch(shard, std::move(batch), /*publish=*/false, 0);
-        batch = std::vector<Reading>();
-      }
-    });
-  }
+  for (std::size_t i = 0; i < shards_.size(); ++i)
+    tasks.push_back(
+        [this, i, &handled] { handled[i] = drain_shard(*shards_[i]); });
   parallel_invoke(tasks);
   std::size_t total = 0;
   for (std::size_t n : handled) total += n;
@@ -228,7 +209,6 @@ void MonitorFleet::start() {
   running_.store(true, std::memory_order_release);
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    BoundedQueue<Reading>* queue = shard.queue.get();
     shard.last_handled = shard.handled.load(kRelaxed);
     shard.stalled_since_ms = -1.0;
     std::uint64_t gen = 0;
@@ -236,9 +216,8 @@ void MonitorFleet::start() {
       std::lock_guard<std::mutex> lock(shard.inflight_mutex);
       gen = shard.generation;
     }
-    shard.worker = std::thread([this, &shard, queue, gen] {
-      worker_loop(shard, queue, gen);
-    });
+    shard.worker =
+        std::thread([this, &shard, gen] { worker_loop(shard, gen); });
   }
   watchdog_ = std::thread([this] { watchdog_loop(); });
 }
@@ -247,128 +226,65 @@ void MonitorFleet::stop() {
   if (!running_.exchange(false)) return;
   watchdog_stop_.store(true, std::memory_order_release);
   if (watchdog_.joinable()) watchdog_.join();
-  // Retired (failed-over) workers first, while the live queues are still
-  // open: a retired worker that popped a batch just before losing its
-  // shard hands that batch back to the live queue, and joining it here
-  // guarantees the hand-back lands before the queues close. The watchdog
-  // is already joined, so no new retirements can appear.
-  {
-    std::lock_guard<std::mutex> lock(retired_mutex);
-    for (auto& worker : retired_workers_)
-      if (worker.joinable()) worker.join();
-    retired_workers_.clear();
-    retired_queues_.clear();
-  }
-  // Stop admission, then close every queue: close() keeps pending items
-  // poppable, so the workers drain everything admitted before exiting.
+  // Stop admission: each worker drains what its shard holds and exits.
   accepting_.store(false, std::memory_order_release);
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> route(shard->route_mutex);
-    shard->queue->close();
-  }
   for (auto& shard : shards_)
     if (shard->worker.joinable()) shard->worker.join();
+  // The watchdog is joined, so no new retirements can appear. A retired
+  // worker exits as soon as its stall ends.
+  for (auto& worker : retired_workers_)
+    if (worker.joinable()) worker.join();
+  retired_workers_.clear();
   // Ring residue: a producer racing stop() can land a push after its
   // shard's worker checked the rings for the last time. Decide the
-  // stragglers here — stop() never discards an admitted reading.
-  for (auto& shard : shards_) {
-    std::vector<Reading> residue;
-    drain_rings(*shard, residue, shard->generation,
-                std::numeric_limits<std::size_t>::max());
-    if (!residue.empty())
-      execute_batch(*shard, std::move(residue), /*publish=*/false, 0);
-  }
-  // Fresh queues so the stopped fleet can still be ingested into and
-  // pump()ed (tests, checkpoint-then-inspect flows).
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> route(shard->route_mutex);
-    shard->queue =
-        std::make_unique<BoundedQueue<Reading>>(config_.queue_capacity);
-  }
+  // stragglers here — stop() never discards an admitted reading — then
+  // reopen admission so the stopped fleet can still be ingested into and
+  // pump()ed.
+  for (auto& shard : shards_) drain_shard(*shard);
   accepting_.store(true, std::memory_order_release);
 }
 
-void MonitorFleet::worker_loop(Shard& shard, BoundedQueue<Reading>* queue,
-                               std::uint64_t my_gen) {
-  std::vector<Reading> batch;
+void MonitorFleet::worker_loop(Shard& shard, std::uint64_t my_gen) {
   for (;;) {
-    batch.clear();
-    // Busy rings: poll the queue instead of sleeping on it, so ring
-    // traffic is never throttled by the queue's empty-wait. (Ring pushes
-    // do not signal the queue's condvar; sleeping here would cap ring
-    // throughput at one batch per timeout.)
-    const auto wait = rings_look_empty(shard) ? std::chrono::milliseconds(2)
-                                              : std::chrono::milliseconds(0);
-    queue->pop_batch(batch, config_.max_batch, wait);
-    if (!drain_rings(shard, batch, my_gen, 2 * config_.max_batch)) {
-      // Failed over between popping and draining: hand the queue items
-      // back to the front of the live queue (they predate its contents)
-      // and retire; the rings now belong to the replacement.
-      if (!batch.empty()) {
-        const std::size_t count = batch.size();
-        std::lock_guard<std::mutex> route(shard.route_mutex);
-        if (!shard.queue->force_push_front(std::move(batch)))
-          shed_.fetch_add(count, kRelaxed);  // unreachable by design
+    std::vector<PredictionGroup> plan;
+    std::size_t size = 0;
+    {
+      std::unique_lock<std::mutex> lock(shard.inflight_mutex);
+      std::vector<Reading> batch;
+      for (;;) {
+        if (shard.generation != my_gen) return;  // replaced by a failover
+        batch = take_batch(shard);
+        if (!batch.empty()) break;
+        // This worker owns the generation, so it is the rings' only
+        // consumer and "empty" is exact.
+        if (!accepting_.load(std::memory_order_acquire)) return;
+        // Producers never signal (their lane stays mutex-free), so an idle
+        // worker polls.
+        lock.unlock();
+        sleep_ms(kIdleWaitMs);
+        lock.lock();
       }
-      return;
+      // Publish in the same section that took the batch, so the watchdog
+      // can steal any of it from here on. The plan holds copies of the
+      // readings, so the prediction matmuls run after publishing, outside
+      // the lock — a stall inside them leaves the whole batch stealable.
+      if (config_.batch_predictions)
+        plan = build_prediction_plan(chips_, batch);
+      size = batch.size();
+      shard.inflight = std::move(batch);
+      shard.inflight_pos = 0;
+      shard.inflight_stolen = false;
+      shard.inflight_since_ms.store(now_ms(), kRelaxed);
     }
-    if (batch.empty()) {
-      // rings_look_empty is exact here: this worker still owns the
-      // generation, so it is the rings' consumer.
-      if (queue->closed() && queue->size() == 0 && rings_look_empty(shard))
-        return;
-      continue;
-    }
-    if (!execute_batch(shard, std::move(batch), /*publish=*/true, my_gen))
-      return;  // the shard failed over; a replacement owns it now
-    batch = std::vector<Reading>();
+    std::vector<linalg::Vector> precomputed(size);
+    run_prediction_plan(plan, precomputed);
+    if (!decide_inflight(shard, precomputed, my_gen)) return;
   }
 }
 
-bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
-                                 bool publish, std::uint64_t my_gen) {
-  std::vector<linalg::Vector> precomputed(batch.size());
-  std::vector<PredictionGroup> plan;
-  if (config_.batch_predictions) plan = build_prediction_plan(chips_, batch);
-
-  if (!publish) {
-    run_prediction_plan(plan, precomputed);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const double delay = chaos_delay_ms_[batch[i].chip]->load(kRelaxed);
-      if (delay > 0) sleep_ms(delay);
-      decide_one(batch[i],
-                 precomputed[i].size() ? &precomputed[i] : nullptr);
-      shard.handled.fetch_add(1, kRelaxed);
-    }
-    return true;
-  }
-
-  // Threaded mode: share the batch through the inflight slot so the
-  // watchdog can steal the un-decided remainder if this worker stalls.
-  // Publishing happens *before* the prediction matmuls run (the plan
-  // already copied everything they need), so even a stall inside the
-  // prediction kernels leaves the whole batch stealable.
-  {
-    std::unique_lock<std::mutex> lock(shard.inflight_mutex);
-    if (shard.generation != my_gen) {
-      // The shard failed over between popping this batch and publishing
-      // it, so the steal never saw these readings. Hand them back to the
-      // front of the live queue (they predate its backlog) and retire;
-      // stop() joins retired workers before closing queues, so the
-      // hand-back cannot be refused while anything else is running.
-      lock.unlock();
-      const std::size_t count = batch.size();
-      std::lock_guard<std::mutex> route(shard.route_mutex);
-      if (!shard.queue->force_push_front(std::move(batch)))
-        shed_.fetch_add(count, kRelaxed);  // unreachable by design
-      return false;
-    }
-    shard.inflight = std::move(batch);
-    shard.inflight_pos = 0;
-    shard.inflight_stolen = false;
-    shard.inflight_since_ms.store(now_ms(), kRelaxed);
-  }
-  run_prediction_plan(plan, precomputed);
+bool MonitorFleet::decide_inflight(
+    Shard& shard, const std::vector<linalg::Vector>& precomputed,
+    std::uint64_t my_gen) {
   for (;;) {
     Reading reading;
     std::size_t index = 0;
@@ -376,9 +292,7 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
       std::lock_guard<std::mutex> lock(shard.inflight_mutex);
       if (shard.generation != my_gen)
         return false;  // failed over mid-batch: remainder was stolen
-      if (shard.inflight_stolen ||
-          shard.inflight_pos >= shard.inflight.size())
-        break;
+      if (shard.inflight_pos >= shard.inflight.size()) break;
       index = shard.inflight_pos++;
       reading = std::move(shard.inflight[index]);
       // Published before any potential stall so the watchdog can name the
@@ -400,11 +314,9 @@ bool MonitorFleet::execute_batch(Shard& shard, std::vector<Reading> batch,
   }
   std::lock_guard<std::mutex> lock(shard.inflight_mutex);
   if (shard.generation != my_gen) return false;
-  if (!shard.inflight_stolen) {
-    shard.inflight.clear();
-    shard.inflight_pos = 0;
-    shard.inflight_since_ms.store(0.0, kRelaxed);
-  }
+  shard.inflight.clear();
+  shard.inflight_pos = 0;
+  shard.inflight_since_ms.store(0.0, kRelaxed);
   return true;
 }
 
@@ -440,21 +352,15 @@ void MonitorFleet::watchdog_loop() {
       Shard& shard = *shards_[i];
       const std::uint64_t handled = shard.handled.load(kRelaxed);
       std::size_t backlog = 0;
-      {
-        std::lock_guard<std::mutex> route(shard.route_mutex);
-        backlog = shard.queue->size();
-      }
-      // Ring backlog counts toward the stall signal too: a worker wedged
-      // with only ring traffic pending must still fail over.
       for (const auto& ring : shard.rings) backlog += ring->approx_size();
-      shard.depth_gauge->set(static_cast<double>(backlog));
-      const double since = shard.inflight_since_ms.load(kRelaxed);
-      shard.inflight_age_gauge->set(since > 0 ? now - since : 0.0);
       {
         std::lock_guard<std::mutex> lock(shard.inflight_mutex);
-        if (!shard.inflight_stolen)
-          backlog += shard.inflight.size() - shard.inflight_pos;
+        backlog += shard.handback.size();
+        shard.depth_gauge->set(static_cast<double>(backlog));
+        backlog += shard.inflight.size() - shard.inflight_pos;
       }
+      const double since = shard.inflight_since_ms.load(kRelaxed);
+      shard.inflight_age_gauge->set(since > 0 ? now - since : 0.0);
       if (handled != shard.last_handled || backlog == 0) {
         shard.last_handled = handled;
         shard.stalled_since_ms = -1.0;
@@ -476,22 +382,27 @@ void MonitorFleet::watchdog_loop() {
 void MonitorFleet::fail_over(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
 
-  // 1. Steal the un-decided remainder of the inflight batch and identify
-  //    the chip the stuck worker is buried in.
-  std::vector<Reading> stolen;
+  // 1. Steal the un-decided remainder of the inflight batch to the front of
+  //    the hand-back list (it predates everything still there and in the
+  //    rings), revoke the old worker's batch ownership, and identify the
+  //    chip the stuck worker is buried in.
   ChipId culprit = kNoChip;
   std::uint64_t new_gen = 0;
   {
     std::lock_guard<std::mutex> lock(shard.inflight_mutex);
     if (shard.inflight_stolen) return;  // failover already in flight
-    for (std::size_t j = shard.inflight_pos; j < shard.inflight.size(); ++j)
-      stolen.push_back(std::move(shard.inflight[j]));
+    shard.handback.insert(
+        shard.handback.begin(),
+        std::make_move_iterator(shard.inflight.begin() +
+                                static_cast<std::ptrdiff_t>(
+                                    shard.inflight_pos)),
+        std::make_move_iterator(shard.inflight.end()));
     shard.inflight.clear();
     shard.inflight_pos = 0;
     shard.inflight_stolen = true;
     shard.inflight_since_ms.store(0.0, kRelaxed);
-    // Revoke the old worker's batch ownership: from here on it exits on
-    // its first look at the shard instead of racing the replacement.
+    // From here on the old worker exits on its first look at the shard
+    // instead of racing the replacement.
     new_gen = ++shard.generation;
     culprit = shard.current_chip.load(std::memory_order_acquire);
   }
@@ -502,35 +413,12 @@ void MonitorFleet::fail_over(std::size_t shard_index) {
   //    boundary is what makes the concurrent handoff safe.
   if (culprit != kNoChip) chips_[culprit]->suspend();
 
-  // 3. Swap in a fresh queue pre-filled with the stolen remainder followed
-  //    by the old queue's backlog, original order preserved. Producers are
-  //    held out by route_mutex for the duration, so nothing lands in the
-  //    retiring queue. force_push: these readings were admitted once; a
-  //    failover must not re-shed them.
-  auto fresh = std::make_unique<BoundedQueue<Reading>>(config_.queue_capacity);
-  std::unique_ptr<BoundedQueue<Reading>> old;
-  {
-    std::lock_guard<std::mutex> route(shard.route_mutex);
-    old = std::move(shard.queue);
-    shard.queue = std::move(fresh);
-    for (auto& reading : stolen) shard.queue->force_push(std::move(reading));
-    for (auto& reading : old->drain())
-      shard.queue->force_push(std::move(reading));
-  }
-  // 4. Close the old queue: when the stuck worker finally wakes it sees the
-  //    generation moved past it (or its queue closed-and-empty) and exits.
-  //    Both the thread and its queue are parked for stop() to reap.
-  old->close();
-  {
-    std::lock_guard<std::mutex> lock(retired_mutex);
-    retired_workers_.push_back(std::move(shard.worker));
-    retired_queues_.push_back(std::move(old));
-  }
-  // 5. Replacement worker on the fresh queue, owning the new generation.
-  BoundedQueue<Reading>* queue = shard.queue.get();
-  shard.worker = std::thread([this, &shard, queue, new_gen] {
-    worker_loop(shard, queue, new_gen);
-  });
+  // 3. Park the stuck worker for stop() to join, and hand the shard to a
+  //    replacement owning the new generation: it drains the hand-back list
+  //    before the rings, so the original order is preserved.
+  retired_workers_.push_back(std::move(shard.worker));
+  shard.worker =
+      std::thread([this, &shard, new_gen] { worker_loop(shard, new_gen); });
   stall_failovers_.fetch_add(1, kRelaxed);
   static metrics::Counter& failovers =
       metrics::counter("serve.stall_failovers");

@@ -1,10 +1,10 @@
 #pragma once
 // MonitorFleet: the multi-chip serving engine.
 //
-// Registers N chips (each its own ChipDomain fault domain), ingests sensor
-// readings through bounded per-shard queues, and decides them in
-// micro-batches — same-model healthy chips are grouped so their OLS
-// predictions run through the blocked matmul kernels in one call
+// Registers N chips (each its own ChipDomain fault domain), admits sensor
+// readings through per-producer SPSC lanes (one ring per shard), and
+// decides them in micro-batches — same-model healthy chips are grouped so
+// their OLS predictions run through the blocked matmul kernels in one call
 // (bit-identical to the per-sample path; see
 // PlacementModel::predict_from_sensor_readings_batch). Alarm transitions are
 // appended to an in-process sink with their ingest-to-decision latency.
@@ -16,27 +16,27 @@
 //    readings are decided. This is the mode tests and the bit-identity
 //    harness use.
 //  * start()/stop() — threaded: one worker thread per shard plus a watchdog.
-//    The watchdog declares a shard stalled when its backlog stops advancing
-//    for stall_timeout_ms, then fails it over: the inflight batch remainder
-//    is stolen, the chip being processed is suspended (poison pill), the
-//    shard gets a fresh queue pre-filled with the stolen + drained backlog
-//    in original order, and a replacement worker takes over. Batch
-//    ownership is a per-shard generation counter bumped at each failover:
-//    every worker carries the generation it was spawned with, and the
-//    moment the shard's generation moves past it the worker stops touching
-//    the shared inflight slot and exits — so a stalled worker that wakes
-//    while its replacement is mid-batch can never claim the replacement's
-//    items or run a chip's monitor concurrently with it. A batch popped
-//    just before the failover (not yet published, invisible to the steal)
-//    is handed back to the front of the live queue instead of being
-//    decided by the retired worker. No admitted reading is ever silently
-//    lost — every one is decided, or dropped with a per-chip counter
-//    naming why.
+//    A worker takes a batch from its shard's hand-back list and rings,
+//    copies out its prediction plan and publishes it to the shard's
+//    inflight slot in one inflight_mutex section, so no popped reading is
+//    ever invisible to the watchdog. The watchdog declares a shard stalled
+//    when its backlog stops advancing for stall_timeout_ms, then fails it
+//    over: the inflight batch remainder is stolen into the shard's
+//    hand-back list (which the next consumer drains before the rings, in
+//    original order), the chip being processed is suspended (poison pill),
+//    and a replacement worker takes over. Batch ownership is a per-shard
+//    generation counter bumped at each failover: every worker carries the
+//    generation it was spawned with, and the moment the shard's generation
+//    moves past it the worker stops touching the shard and exits — so a
+//    stalled worker that wakes while its replacement is mid-batch can never
+//    claim the replacement's items or run a chip's monitor concurrently
+//    with it. No admitted reading is ever silently lost — every one is
+//    decided, or dropped with a per-chip counter naming why.
 //
-// Overload: try_push against a full shard queue sheds the newest reading
+// Overload: a push into a full producer ring sheds the newest reading
 // (counted per chip and fleet-wide, reported to the caller as kShed).
-// Shutdown: stop() closes the queues and drains what was admitted before
-// joining — close() never discards pending items.
+// Shutdown: stop() lets the workers drain what was admitted before joining,
+// then decides whatever a racing producer landed after the last drain.
 
 #include <atomic>
 #include <cstdint>
@@ -47,7 +47,6 @@
 
 #include "core/online_monitor.hpp"
 #include "core/pipeline.hpp"
-#include "serve/bounded_queue.hpp"
 #include "serve/chip_domain.hpp"
 #include "serve/spsc_ring.hpp"
 #include "serve/types.hpp"
@@ -72,22 +71,16 @@ class MonitorFleet {
                       nullptr);
   std::size_t num_chips() const { return chips_.size(); }
 
-  /// Admission: stamps the ingest time, routes to the owning shard, applies
-  /// the overload shed policy. The decision itself happens later on the
-  /// shard (pump() or a worker thread).
-  IngestResult ingest(Reading reading);
-
   /// Registers an ingestion lane for one producer thread: one SPSC ring
-  /// per shard, giving that thread a mutex-free ingest fast path. Only
-  /// valid while not running. A given chip's feed must stay on one path —
-  /// either a producer lane or plain ingest() — or the per-chip sequence
-  /// check would see the two paths' interleaving as stale replays.
+  /// per shard. Only valid while not running. Each chip's feed must stay
+  /// on one lane, or the per-chip sequence check would see the lanes'
+  /// interleaving as stale replays.
   ProducerId register_producer();
 
-  /// Mutex-free fast-path admission (same shed policy, same accounting) —
-  /// safe only from the single thread driving this producer id. A full
-  /// ring sheds the newest reading; it never spills into the shared queue,
-  /// which would reorder the producer's feed around its ring backlog.
+  /// Admission: stamps the ingest time, routes to the owning shard's ring
+  /// of this lane, and sheds the newest reading when that ring is full.
+  /// Mutex-free; safe only from the single thread driving `producer`. The
+  /// decision itself happens later on the shard (pump() or a worker).
   IngestResult ingest(ProducerId producer, Reading reading);
 
   /// Deterministic mode: decides everything currently queued, one parallel
@@ -97,8 +90,9 @@ class MonitorFleet {
 
   /// Threaded mode: spawns one worker per shard plus the watchdog.
   void start();
-  /// Closes the queues, drains what was admitted, joins every worker (and
-  /// every failed-over worker). Idempotent.
+  /// Drains what was admitted, joins every worker (and every failed-over
+  /// worker). The stopped fleet still admits readings for pump().
+  /// Idempotent.
   void stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 
@@ -129,29 +123,31 @@ class MonitorFleet {
       const std::vector<ChipDomain::PersistedState>& states);
 
  private:
-  /// One ingestion/decision lane. The queue pointer is swapped at failover;
-  /// route_mutex makes the swap invisible to producers (nothing is pushed
-  /// into a queue that is being retired).
+  /// One ingestion/decision lane.
   struct Shard {
-    std::unique_ptr<BoundedQueue<Reading>> queue;
-    std::mutex route_mutex;  ///< guards `queue` (producers + failover)
     /// One SPSC ingestion ring per registered producer. The vector itself
     /// only changes while the fleet is stopped; ring consumption is
-    /// serialized by inflight_mutex (see drain_rings).
+    /// serialized by inflight_mutex (see take_batch).
     std::vector<std::unique_ptr<SpscRing<Reading>>> rings;
     /// Items handled since start; the watchdog's liveness signal.
     std::atomic<std::uint64_t> handled{0};
-    /// Inflight micro-batch, shared with the watchdog for theft.
+    /// Guards handback, the inflight slot and generation.
     std::mutex inflight_mutex;
+    /// Readings stolen from a failed-over batch. They predate everything
+    /// still in the rings, so the next consumer drains them first.
+    std::vector<Reading> handback;
+    /// Inflight micro-batch, shared with the watchdog for theft.
     std::vector<Reading> inflight;
     std::size_t inflight_pos = 0;
+    /// Set by a failover's steal, cleared by the replacement's first
+    /// publish: a second failover before then has nothing to steal.
     bool inflight_stolen = false;
-    /// Batch-ownership epoch, guarded by inflight_mutex. fail_over() bumps
-    /// it; a worker whose spawn-time generation no longer matches has been
-    /// replaced and must exit without touching the inflight slot. Unlike
-    /// inflight_stolen (reset by the replacement's next publish), this
-    /// never moves backwards, so a late-waking retired worker cannot
-    /// mistake the replacement's batch for its own.
+    /// Batch-ownership epoch. fail_over() bumps it; a worker whose
+    /// spawn-time generation no longer matches has been replaced and must
+    /// exit without touching the shard. Unlike inflight_stolen (reset by
+    /// the replacement's next publish), this never moves backwards, so a
+    /// late-waking retired worker cannot mistake the replacement's batch
+    /// for its own.
     std::uint64_t generation = 0;
     std::atomic<ChipId> current_chip{kNoChip};
     std::thread worker;
@@ -159,9 +155,9 @@ class MonitorFleet {
     std::uint64_t last_handled = 0;
     double stalled_since_ms = -1.0;
     /// Observability: registry gauges cached at construction (registration
-    /// takes a lock; updates are relaxed stores). Depth tracks the shard
-    /// queue; inflight age is how long the current published batch has
-    /// been outstanding — 0 when none is.
+    /// takes a lock; updates are relaxed stores). Depth tracks the shard's
+    /// undecided backlog; inflight age is how long the current published
+    /// batch has been outstanding — 0 when none is.
     metrics::Gauge* depth_gauge = nullptr;
     metrics::Gauge* inflight_age_gauge = nullptr;
     /// now_ms() when the current inflight batch was published; 0 between
@@ -171,26 +167,23 @@ class MonitorFleet {
 
   /// `my_gen` is the shard generation this worker owns; the loop exits as
   /// soon as a failover moves the shard past it.
-  void worker_loop(Shard& shard, BoundedQueue<Reading>* queue,
-                   std::uint64_t my_gen);
-  /// Decides one batch. `publish` shares it through the shard's inflight
-  /// slot so the watchdog can steal the remainder (threaded mode only).
+  void worker_loop(Shard& shard, std::uint64_t my_gen);
+  /// Takes up to max_batch readings: the hand-back list first, then the
+  /// rings in producer order. Caller holds shard.inflight_mutex.
+  std::vector<Reading> take_batch(Shard& shard);
+  /// Decides everything the shard holds, unpublished (pump() and the
+  /// shutdown residue). Only valid while no worker consumes the shard.
+  /// Returns the number of readings handled.
+  std::size_t drain_shard(Shard& shard);
+  /// Decides the batch published to the shard's inflight slot, claiming
+  /// one reading at a time so the watchdog can steal the remainder;
+  /// `precomputed` holds the batched predictions by batch position.
   /// Returns false when the shard failed over out from under the caller
-  /// (shard.generation != my_gen): the batch — or its remainder — is now
-  /// the replacement's responsibility and the caller must exit.
-  bool execute_batch(Shard& shard, std::vector<Reading> batch, bool publish,
-                     std::uint64_t my_gen);
-  /// Tops `batch` up to `limit` items from the shard's producer rings.
-  /// The consumer side of every ring is serialized by inflight_mutex, and
-  /// the generation check inside keeps a retired worker from consuming
-  /// concurrently with its replacement. Returns false when the shard has
-  /// failed over past `my_gen`; the caller must hand back what it popped
-  /// and exit without touching the rings.
-  bool drain_rings(Shard& shard, std::vector<Reading>& batch,
-                   std::uint64_t my_gen, std::size_t limit);
-  /// Racy any-thread check used to pick the queue wait: false negatives
-  /// just cost one short queue timeout.
-  bool rings_look_empty(const Shard& shard) const;
+  /// (shard.generation != my_gen): the remainder is now the replacement's
+  /// responsibility and the caller must exit.
+  bool decide_inflight(Shard& shard,
+                       const std::vector<linalg::Vector>& precomputed,
+                       std::uint64_t my_gen);
   void decide_one(const Reading& reading, const linalg::Vector* precomputed);
   void watchdog_loop();
   void fail_over(std::size_t shard_index);
@@ -208,10 +201,9 @@ class MonitorFleet {
   std::atomic<bool> accepting_{true};
   std::atomic<bool> watchdog_stop_{false};
   std::thread watchdog_;
-  /// Failed-over workers and their retired queues; joined/freed in stop().
-  std::mutex retired_mutex;
+  /// Failed-over workers. Watchdog-owned; stop() joins them after joining
+  /// the watchdog.
   std::vector<std::thread> retired_workers_;
-  std::vector<std::unique_ptr<BoundedQueue<Reading>>> retired_queues_;
 
   std::mutex alarm_mutex_;
   std::vector<AlarmEvent> alarms_;

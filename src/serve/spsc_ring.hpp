@@ -1,6 +1,7 @@
 #pragma once
-// Single-producer / single-consumer ring: the mutex-free ingestion fast
-// path under MonitorFleet's per-producer lanes.
+// Single-producer / single-consumer ring: MonitorFleet's only ingestion
+// path. Each producer lane owns one ring per shard; a full ring is the
+// fleet's overload point (reject-newest shed).
 //
 // Classic cached-index SPSC design (the read-path idiom ROART uses for its
 // log rings): head and tail are the only shared state, each written by
@@ -28,22 +29,22 @@ namespace vmap::serve {
 template <typename T>
 class SpscRing {
  public:
-  /// Capacity is rounded up to a power of two (index masking); the ring
-  /// holds exactly `capacity()` items before push refuses.
-  explicit SpscRing(std::size_t min_capacity) {
-    std::size_t cap = 1;
-    while (cap < min_capacity) cap <<= 1;
-    mask_ = cap - 1;
-    slots_.resize(cap);
+  /// Holds exactly `capacity` items before push refuses. The storage is
+  /// rounded up to a power of two for index masking only.
+  explicit SpscRing(std::size_t capacity) : capacity_(capacity) {
+    std::size_t slots = 1;
+    while (slots < capacity) slots <<= 1;
+    mask_ = slots - 1;
+    slots_.resize(slots);
   }
 
   /// Producer side. False when full (never blocks, never overwrites) —
   /// `item` is left intact so the caller can still inspect it.
   bool push(T&& item) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ > mask_) {
+    if (tail - cached_head_ >= capacity_) {
       cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ > mask_) return false;
+      if (tail - cached_head_ >= capacity_) return false;
     }
     slots_[tail & mask_] = std::move(item);
     tail_.store(tail + 1, std::memory_order_release);
@@ -76,9 +77,10 @@ class SpscRing {
     return tail >= head ? tail - head : 0;
   }
 
-  std::size_t capacity() const { return mask_ + 1; }
+  std::size_t capacity() const { return capacity_; }
 
  private:
+  std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
   std::vector<T> slots_;
   /// Consumer-owned index (next slot to pop).

@@ -49,7 +49,7 @@ enum class RejectReason {
   kStale,           ///< sequence did not advance
   kSuspended,       ///< chip is suspended; feed is ignored
   kQuarantined,     ///< chip is quarantined; reading only feeds probation
-  kShed,            ///< shard queue full: overload shed (reject-newest)
+  kShed,            ///< producer ring full: overload shed (reject-newest)
   kStopped,         ///< fleet is not accepting readings
 };
 const char* reject_reason_name(RejectReason reason);
@@ -64,8 +64,8 @@ enum class ChipMode {
 };
 const char* chip_mode_name(ChipMode mode);
 
-/// Outcome of MonitorFleet::ingest — admission only; the decision itself is
-/// made later on the owning shard.
+/// Outcome of MonitorFleet::ingest — admission into the producer's ring
+/// for the owning shard; the decision itself is made later on that shard.
 struct IngestResult {
   bool accepted = false;
   RejectReason reason = RejectReason::kNone;
@@ -84,9 +84,8 @@ struct AlarmEvent {
 /// Tuning knobs of the fleet. Defaults favor the chaos-harness scale
 /// (hundreds of chips, thousands of readings/sec per shard).
 struct FleetConfig {
-  std::size_t shards = 4;            ///< independent fault/throughput lanes
-  std::size_t queue_capacity = 1024; ///< bounded per-shard backlog
-  std::size_t max_batch = 64;        ///< readings per micro-batch drain
+  std::size_t shards = 4;      ///< independent fault/throughput lanes
+  std::size_t max_batch = 64;  ///< readings per micro-batch drain
   /// Alarm events are appended to the sink as each micro-batch item is
   /// decided; this is the service-level objective the chaos scenarios
   /// report against (p99 ingest-to-alarm latency).
@@ -103,8 +102,9 @@ struct FleetConfig {
   std::size_t suspend_after = 3;
   /// Group same-model healthy chips into blocked-matmul micro-batches.
   bool batch_predictions = true;
-  /// Capacity of each producer→shard SPSC ingestion ring (rounded up to a
-  /// power of two). Full ring = overload shed, same policy as the queues.
+  /// Capacity of each producer→shard SPSC ingestion ring: the bounded
+  /// backlog of one lane into one shard. A full ring sheds the newest
+  /// reading.
   std::size_t producer_ring_capacity = 4096;
 };
 
@@ -133,7 +133,7 @@ struct ChipStats {
 /// Fleet-wide accounting snapshot.
 struct FleetStats {
   std::uint64_t ingested = 0;   ///< ingest() calls that named a known chip
-  std::uint64_t enqueued = 0;   ///< admitted into a shard queue
+  std::uint64_t enqueued = 0;   ///< admitted into a producer ring
   std::uint64_t shed = 0;       ///< rejected-newest under overload
   std::uint64_t processed = 0;  ///< readings decided by shard workers
   std::uint64_t alarm_events = 0;

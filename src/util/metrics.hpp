@@ -97,8 +97,9 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Geometric 1 µs … ~100 s ladder — the default layout for wall-time
-/// histograms (values in milliseconds).
+/// Log-spaced 1 µs … ~2.2 min ladder, four rungs per octave (every
+/// upper/lower bound ratio 2^(1/4) ≈ 1.19) — the default layout for
+/// wall-time histograms (values in milliseconds).
 std::vector<double> default_time_buckets_ms();
 
 /// Geometric 1 … 32768 ladder for iteration-count histograms: past the

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include "common.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace vmap {
 namespace {
@@ -184,6 +186,37 @@ TEST(Metrics, IterationBucketsResolveCappedSolves) {
                       snap.bounds.begin();
   EXPECT_EQ(snap.counts[static_cast<std::size_t>(bucket)], 10u);
   EXPECT_GT(metrics::histogram_quantile(snap, 0.99), 4096.0);
+}
+
+TEST(Metrics, TimeBucketsAreFineFromAMicrosecondToTwoMinutes) {
+  const std::vector<double> b = metrics::default_time_buckets_ms();
+  ASSERT_GE(b.size(), 2u);
+  EXPECT_DOUBLE_EQ(b.front(), 1e-3);
+  EXPECT_GE(b.back(), 2.0 * 60.0 * 1e3);
+  for (std::size_t i = 1; i < b.size(); ++i)
+    EXPECT_LE(b[i] / b[i - 1], 1.25) << "rung " << i;
+}
+
+TEST(Metrics, TimeBucketQuantilesTrackExactQuantiles) {
+  // A right-skewed, latency-like sample (log-normal around 2 ms): the
+  // interpolated p50/p90/p99 must land within 25% of the exact sorted
+  // quantiles. A ×4-per-rung ladder reads them 26%, 64% and 83% high.
+  Rng rng(2015);
+  std::vector<double> sample(20000);
+  for (double& v : sample) v = std::exp(rng.normal(std::log(2.0), 1.0));
+  metrics::Histogram& h = metrics::histogram(
+      "test.hist.time.skewed", metrics::default_time_buckets_ms());
+  h.reset();
+  for (double v : sample) h.observe(v);
+  const auto snap = h.snapshot();
+  std::sort(sample.begin(), sample.end());
+  for (double q : {0.50, 0.90, 0.99}) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sample.size())));
+    const double exact = sample[rank - 1];
+    const double estimate = metrics::histogram_quantile(snap, q);
+    EXPECT_NEAR(estimate, exact, 0.25 * exact) << "q = " << q;
+  }
 }
 
 TEST(Metrics, QuantileOfEmptyHistogramIsZero) {

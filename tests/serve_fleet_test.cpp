@@ -1,7 +1,7 @@
 // MonitorFleet integration tests: healthy-path decisions bit-identical to a
 // standalone OnlineMonitor (including the micro-batched matmul path),
-// overload shed accounting, clean-shutdown drain, and watchdog stall
-// failover in threaded mode.
+// overload shed accounting, clean-shutdown drain, a producer lane that
+// outlives stop(), and watchdog stall failover in threaded mode.
 
 #include <gtest/gtest.h>
 
@@ -94,11 +94,12 @@ TEST(MonitorFleet, PumpModeDecisionsAreBitIdenticalToStandaloneMonitor) {
   auto model = make_synthetic_model(spec);
   for (std::size_t c = 0; c < kChips; ++c)
     fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId lane = fleet.register_producer();
 
   for (std::uint64_t t = 1; t <= kSamples; ++t) {
     for (ChipId chip = 0; chip < kChips; ++chip) {
       const auto result = fleet.ingest(
-          make_reading(chip, t, synthetic_reading(spec, chip, t)));
+          lane, make_reading(chip, t, synthetic_reading(spec, chip, t)));
       ASSERT_TRUE(result.accepted);
     }
     if (t % 50 == 0) fleet.pump();
@@ -123,9 +124,11 @@ TEST(MonitorFleet, UnbatchedPathMatchesToo) {
   auto model = make_synthetic_model(spec);
   for (std::size_t c = 0; c < kChips; ++c)
     fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId lane = fleet.register_producer();
   for (std::uint64_t t = 1; t <= kSamples; ++t)
     for (ChipId chip = 0; chip < kChips; ++chip)
-      fleet.ingest(make_reading(chip, t, synthetic_reading(spec, chip, t)));
+      fleet.ingest(lane,
+                   make_reading(chip, t, synthetic_reading(spec, chip, t)));
   fleet.pump();
   expect_matches_reference(fleet, run_reference(spec, kChips, kSamples),
                            kChips);
@@ -135,7 +138,9 @@ TEST(MonitorFleet, UnbatchedPathMatchesToo) {
 
 TEST(MonitorFleet, UnknownChipIsRefused) {
   MonitorFleet fleet;
-  const auto result = fleet.ingest(make_reading(7, 1, linalg::Vector(3)));
+  const ProducerId lane = fleet.register_producer();
+  const auto result =
+      fleet.ingest(lane, make_reading(7, 1, linalg::Vector(3)));
   EXPECT_FALSE(result.accepted);
   EXPECT_EQ(result.reason, RejectReason::kUnknownChip);
 }
@@ -144,15 +149,16 @@ TEST(MonitorFleet, OverloadShedsNewestAndCountsEveryDrop) {
   SyntheticFleetSpec spec;
   FleetConfig fc;
   fc.shards = 1;
-  fc.queue_capacity = 8;
+  fc.producer_ring_capacity = 8;
   MonitorFleet fleet(fc);
   auto model = make_synthetic_model(spec);
   fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId lane = fleet.register_producer();
 
   std::size_t accepted = 0, shed = 0;
   for (std::uint64_t t = 1; t <= 50; ++t) {
     const auto result =
-        fleet.ingest(make_reading(0, t, synthetic_reading(spec, 0, t)));
+        fleet.ingest(lane, make_reading(0, t, synthetic_reading(spec, 0, t)));
     if (result.accepted) {
       ++accepted;
     } else {
@@ -160,8 +166,9 @@ TEST(MonitorFleet, OverloadShedsNewestAndCountsEveryDrop) {
       ++shed;
     }
   }
-  EXPECT_EQ(accepted, fc.queue_capacity);  // reject-newest: first 8 stay
-  EXPECT_EQ(shed, 50u - fc.queue_capacity);
+  // reject-newest: the first 8 stay
+  EXPECT_EQ(accepted, fc.producer_ring_capacity);
+  EXPECT_EQ(shed, 50u - fc.producer_ring_capacity);
   const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.shed, shed);
   EXPECT_EQ(fleet.chip_stats(0).shed, shed);
@@ -180,17 +187,19 @@ TEST(MonitorFleet, ThreadedModeDrainsEverythingOnStop) {
   constexpr std::uint64_t kSamples = 300;
   FleetConfig fc;
   fc.shards = 2;
-  fc.queue_capacity = 4096;
   MonitorFleet fleet(fc);
   auto model = make_synthetic_model(spec);
   for (std::size_t c = 0; c < kChips; ++c)
     fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId lane = fleet.register_producer();
 
   fleet.start();
   std::uint64_t enqueued = 0;
   for (std::uint64_t t = 1; t <= kSamples; ++t)
     for (ChipId chip = 0; chip < kChips; ++chip)
-      if (fleet.ingest(make_reading(chip, t, synthetic_reading(spec, chip, t)))
+      if (fleet
+              .ingest(lane,
+                      make_reading(chip, t, synthetic_reading(spec, chip, t)))
               .accepted)
         ++enqueued;
   fleet.stop();
@@ -204,6 +213,44 @@ TEST(MonitorFleet, ThreadedModeDrainsEverythingOnStop) {
                              kChips);
 }
 
+TEST(MonitorFleet, LaneKeepsServingAcrossStopAndPump) {
+  // One producer lane through a whole lifecycle: threaded serving, stop(),
+  // then more readings on the same lane decided by pump(). The stopped
+  // fleet keeps admitting, and the chip's monitor sees one unbroken,
+  // in-order stream across the mode switch.
+  SyntheticFleetSpec spec;
+  constexpr std::uint64_t kRunning = 200;
+  constexpr std::uint64_t kSamples = 400;
+  FleetConfig fc;
+  fc.shards = 2;
+  MonitorFleet fleet(fc);
+  auto model = make_synthetic_model(spec);
+  fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId lane = fleet.register_producer();
+
+  std::uint64_t enqueued = 0;
+  auto feed = [&](std::uint64_t first, std::uint64_t last) {
+    for (std::uint64_t t = first; t <= last; ++t)
+      if (fleet.ingest(lane, make_reading(0, t, synthetic_reading(spec, 0, t)))
+              .accepted)
+        ++enqueued;
+  };
+  fleet.start();
+  feed(1, kRunning);
+  fleet.stop();
+  EXPECT_EQ(fleet.stats().processed, enqueued);
+
+  feed(kRunning + 1, kSamples);
+  EXPECT_EQ(fleet.pump(), kSamples - kRunning);
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(enqueued, kSamples);
+  EXPECT_EQ(stats.enqueued, enqueued);
+  EXPECT_EQ(stats.processed, enqueued);
+  EXPECT_EQ(stats.shed, 0u);
+  expect_matches_reference(fleet, run_reference(spec, 1, kSamples), 1);
+}
+
 TEST(MonitorFleet, WatchdogFailsOverAStalledShardAndSuspendsTheCulprit) {
   SyntheticFleetSpec spec;
   FleetConfig fc;
@@ -215,14 +262,15 @@ TEST(MonitorFleet, WatchdogFailsOverAStalledShardAndSuspendsTheCulprit) {
   // Chips 0 and 2 share shard 0 (chip % shards); chip 1 is on shard 1.
   for (int c = 0; c < 3; ++c)
     fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId lane = fleet.register_producer();
 
   // Chip 0 wedges its worker for far longer than the stall timeout.
   fleet.set_chaos_delay_ms(0, 1200.0);
   fleet.start();
   std::uint64_t enqueued = 0;
   auto feed = [&](ChipId chip, std::uint64_t seq) {
-    if (fleet.ingest(
-              make_reading(chip, seq, synthetic_reading(spec, chip, seq)))
+    if (fleet.ingest(lane, make_reading(chip, seq,
+                                        synthetic_reading(spec, chip, seq)))
             .accepted)
       ++enqueued;
   };
@@ -275,6 +323,7 @@ TEST(MonitorFleet, WokenStalledWorkerNeverTouchesTheReplacementsBatch) {
   auto model = make_synthetic_model(spec);
   for (int c = 0; c < 2; ++c)
     fleet.add_chip(make_synthetic_monitor(spec, model, false), model);
+  const ProducerId lane = fleet.register_producer();
 
   constexpr std::uint64_t kSamples = 400;
   // Chip 0 wedges the original worker well past the failover; chip 1's
@@ -285,12 +334,12 @@ TEST(MonitorFleet, WokenStalledWorkerNeverTouchesTheReplacementsBatch) {
   fleet.start();
   std::uint64_t enqueued = 0;
   ASSERT_TRUE(
-      fleet.ingest(make_reading(0, 1, synthetic_reading(spec, 0, 1)))
+      fleet.ingest(lane, make_reading(0, 1, synthetic_reading(spec, 0, 1)))
           .accepted);
   ++enqueued;
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   for (std::uint64_t t = 1; t <= kSamples; ++t)
-    if (fleet.ingest(make_reading(1, t, synthetic_reading(spec, 1, t)))
+    if (fleet.ingest(lane, make_reading(1, t, synthetic_reading(spec, 1, t)))
             .accepted)
       ++enqueued;
 

@@ -17,7 +17,9 @@
 #       ThreadSanitizer over the serving layer: the serve unit/integration
 #       tests plus the serving_suite chaos harness with every --inject
 #       scenario. Gates zero alarm loss AND zero data races across the
-#       watchdog failover, overload shed, and checkpoint kill paths.
+#       watchdog failover, overload shed, and checkpoint kill paths, all
+#       on the producer-lane (SPSC ring) ingest path — the fleet's only
+#       one, and the one the serving throughput numbers measure.
 #   tools/check_sanitize.sh sweep [build-dir]     (default dir
 #       build-sanitize): ASan+UBSan over the scenario sweep engine: the
 #       journal/supervisor unit tests, then the sweep_suite chaos harness's
