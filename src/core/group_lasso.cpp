@@ -118,6 +118,20 @@ GroupLassoResult GroupLasso::solve_penalized(
   return result;
 }
 
+namespace {
+
+/// The coordinates one BCD sweep works on: Gram A (n x n), cross B (K x n),
+/// the maintained product P = βA on the same n columns, and β. A full sweep
+/// runs on the whole problem; an inner sweep on the active set's block.
+struct BcdBlock {
+  const linalg::Matrix& a;
+  const linalg::Matrix& b;
+  linalg::Matrix& p;
+  linalg::Matrix& beta;
+};
+
+}  // namespace
+
 GroupLassoResult GroupLasso::solve_bcd(
     double mu, const std::optional<linalg::Matrix>& warm) const {
   const std::size_t k_count = problem_.num_responses();
@@ -133,15 +147,15 @@ GroupLassoResult GroupLasso::solve_bcd(
 
   linalg::Vector r(k_count), delta(k_count);
 
-  // Exact minimization over one group; returns the change norm.
-  auto update_group = [&](std::size_t m) -> double {
-    const double amm = a(m, m);
+  // Exact minimization over group m of `blk`; returns the change norm.
+  auto update_group = [&](const BcdBlock& blk, std::size_t m) -> double {
+    const double amm = blk.a(m, m);
     if (amm <= 0.0) return 0.0;  // degenerate (zero-variance) candidate
 
     // r = B_m − (βA)_m + β_m·A_mm : the group's residual correlation.
     double r_norm_sq = 0.0;
     for (std::size_t k = 0; k < k_count; ++k) {
-      r[k] = b(k, m) - p(k, m) + beta(k, m) * amm;
+      r[k] = blk.b(k, m) - blk.p(k, m) + blk.beta(k, m) * amm;
       r_norm_sq += r[k] * r[k];
     }
     // Non-finite residual: the iterate has blown up. Surface an infinite
@@ -154,53 +168,50 @@ GroupLassoResult GroupLasso::solve_bcd(
     double change_sq = 0.0;
     if (r_norm <= mu) {
       for (std::size_t k = 0; k < k_count; ++k) {
-        delta[k] = -beta(k, m);
+        delta[k] = -blk.beta(k, m);
         change_sq += delta[k] * delta[k];
       }
     } else {
       const double scale = (1.0 - mu / r_norm) / amm;
       for (std::size_t k = 0; k < k_count; ++k) {
         const double next = scale * r[k];
-        delta[k] = next - beta(k, m);
+        delta[k] = next - blk.beta(k, m);
         change_sq += delta[k] * delta[k];
       }
     }
 
     if (change_sq > 0.0) {
-      // P-row updates: each k owns its own row of P (and one β entry), so
-      // the rows can run on the pool in any order with identical results.
-      // The small-problem guard skips even the chunk heuristic so tiny
-      // groups stay allocation- and lock-free.
-      const double* arow = a.row_data(m);
-      auto apply_rows = [&](std::size_t kb, std::size_t ke) {
-        for (std::size_t k = kb; k < ke; ++k) {
-          if (delta[k] == 0.0) continue;
-          beta(k, m) += delta[k];
-          linalg::kern::axpy(m_count, delta[k], arow, p.row_data(k));
-        }
-      };
-      const double row_flops = 2.0 * static_cast<double>(m_count);
-      if (row_flops * static_cast<double>(k_count) >=
-          2.0 * kWorkQuantumFlops) {
-        parallel_for_chunked(0, k_count, row_flops, apply_rows);
-      } else {
-        apply_rows(0, k_count);
+      const double* arow = blk.a.row_data(m);
+      for (std::size_t k = 0; k < k_count; ++k) {
+        if (delta[k] == 0.0) continue;
+        blk.beta(k, m) += delta[k];
+        linalg::kern::axpy(blk.a.cols(), delta[k], arow, blk.p.row_data(k));
       }
     }
     return std::sqrt(change_sq);
   };
 
-  // Active-set BCD: a full sweep identifies the working set (nonzero
+  auto non_finite = [&] {
+    result.status = Status::Numerical(
+        "non-finite iterate in group-lasso BCD (sweep " +
+        std::to_string(result.iterations) + ", mu=" + std::to_string(mu) +
+        ")");
+  };
+
+  // Active-set BCD: a full sweep identifies the working set S (nonzero
   // groups); cheap inner sweeps converge on that set; a final full sweep
   // certifies global optimality (zero groups' KKT is re-checked by the
-  // exact update itself). This keeps per-iteration work proportional to
-  // the number of *selected* sensors, not candidates.
+  // exact update itself). Nothing reads P outside S until the next full
+  // sweep, so the inner sweeps run on a compact copy of the S-block and
+  // their work is proportional to the number of *selected* sensors, not
+  // candidates (see the header for the numerics).
+  const BcdBlock full{a, b, p, beta};
   std::vector<std::size_t> active;
   while (result.iterations < options_.max_iterations) {
     double full_violation = 0.0;
     active.clear();
     for (std::size_t m = 0; m < m_count; ++m) {
-      full_violation = std::max(full_violation, update_group(m));
+      full_violation = std::max(full_violation, update_group(full, m));
       for (std::size_t k = 0; k < k_count; ++k) {
         if (beta(k, m) != 0.0) {
           active.push_back(m);
@@ -210,29 +221,59 @@ GroupLassoResult GroupLasso::solve_bcd(
     }
     ++result.iterations;
     if (!std::isfinite(full_violation)) {
-      result.status = Status::Numerical(
-          "non-finite iterate in group-lasso BCD (sweep " +
-          std::to_string(result.iterations) + ", mu=" + std::to_string(mu) +
-          ")");
+      non_finite();
       return result;
     }
     if (full_violation < options_.tolerance) {
       result.converged = true;
       break;
     }
+
+    const std::size_t s_count = active.size();
+    linalg::Matrix a_s(s_count, s_count), b_s(k_count, s_count),
+        p_s(k_count, s_count), beta_s(k_count, s_count);
+    for (std::size_t i = 0; i < s_count; ++i)
+      for (std::size_t j = 0; j < s_count; ++j)
+        a_s(i, j) = a(active[i], active[j]);
+    for (std::size_t k = 0; k < k_count; ++k) {
+      for (std::size_t i = 0; i < s_count; ++i) {
+        b_s(k, i) = b(k, active[i]);
+        p_s(k, i) = p(k, active[i]);
+        beta_s(k, i) = beta(k, active[i]);
+      }
+    }
+    const linalg::Matrix beta_s0 = beta_s;
+    const BcdBlock compact{a_s, b_s, p_s, beta_s};
+    bool finite = true;
     while (result.iterations < options_.max_iterations) {
       double inner_violation = 0.0;
-      for (std::size_t m : active)
-        inner_violation = std::max(inner_violation, update_group(m));
+      for (std::size_t i = 0; i < s_count; ++i)
+        inner_violation = std::max(inner_violation, update_group(compact, i));
       ++result.iterations;
       if (!std::isfinite(inner_violation)) {
-        result.status = Status::Numerical(
-            "non-finite iterate in group-lasso BCD (sweep " +
-            std::to_string(result.iterations) + ", mu=" + std::to_string(mu) +
-            ")");
-        return result;
+        finite = false;
+        break;
       }
       if (inner_violation < options_.tolerance) break;
+    }
+    // Write back: P's other columns catch up with the phase's change of
+    // β_S (row by row, P[:, j] += Δβ_S·A[S, j]); the S-columns and β_S are
+    // then taken from the block, so they carry exactly the per-update sums.
+    for (std::size_t k = 0; k < k_count; ++k) {
+      double* prow = p.row_data(k);
+      for (std::size_t i = 0; i < s_count; ++i) {
+        const double d = beta_s(k, i) - beta_s0(k, i);
+        if (d != 0.0)
+          linalg::kern::axpy(m_count, d, a.row_data(active[i]), prow);
+      }
+      for (std::size_t i = 0; i < s_count; ++i) {
+        prow[active[i]] = p_s(k, i);
+        beta(k, active[i]) = beta_s(k, i);
+      }
+    }
+    if (!finite) {
+      non_finite();
+      return result;
     }
   }
   if (!result.converged) {

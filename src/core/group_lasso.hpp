@@ -13,6 +13,17 @@
 //
 // Everything works on Gram matrices A = Z Zᵀ (M×M) and B = G Zᵀ (K×M), so
 // the per-iteration cost is independent of the sample count N.
+//
+// BCD maintains P = βA. A full sweep over all M groups finds the active set
+// S (groups with a nonzero coefficient); the inner sweeps that follow run
+// on a compact K×|S| copy (A_SS and the S-columns of B, P and β), so each
+// group update writes |S| columns of P instead of M. On leaving the inner
+// phase (converged, capped or non-finite) β_S and P_S are written back and
+// P's other columns catch up once, P[:, j] += (β_S − β_S⁰)·A[S, j]. The
+// axpy kernel is elementwise in all its paths, so every active column of P
+// sees the same operations in the same order as a full-row update would;
+// only the inactive columns round differently (one catch-up sum instead of
+// one sum per update).
 
 #include <cstddef>
 #include <optional>

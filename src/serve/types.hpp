@@ -86,10 +86,6 @@ struct AlarmEvent {
 struct FleetConfig {
   std::size_t shards = 4;      ///< independent fault/throughput lanes
   std::size_t max_batch = 64;  ///< readings per micro-batch drain
-  /// Alarm events are appended to the sink as each micro-batch item is
-  /// decided; this is the service-level objective the chaos scenarios
-  /// report against (p99 ingest-to-alarm latency).
-  double alarm_deadline_ms = 50.0;
   /// Watchdog: a shard with backlog that has not advanced for this long is
   /// declared stalled and failed over.
   double stall_timeout_ms = 250.0;

@@ -1,13 +1,17 @@
 // Group-lasso solver tests: optimality (KKT), solver agreement, support
-// recovery on planted problems, budget semantics, and the paper's §2.3
-// shrinkage example.
+// recovery on planted problems, budget semantics, the paper's §2.3
+// shrinkage example, and the compact inner phase against a full-row BCD
+// oracle.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "core/group_lasso.hpp"
 #include "core/normalizer.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -68,6 +72,176 @@ double kkt_violation(const GroupLassoProblem& problem,
     }
   }
   return worst;
+}
+
+struct OracleRun {
+  GroupLassoResult result;
+  bool capped_in_inner = false;  ///< the cap stopped an inner sweep phase
+};
+
+/// Reference BCD: the same sweeps as GroupLasso::solve_bcd, but every group
+/// update writes all M columns of the maintained product P = βA, in full
+/// and inner sweeps alike (the solver before its compact inner phase).
+OracleRun full_row_bcd(const GroupLassoProblem& problem,
+                       const GroupLassoOptions& options, double mu,
+                       const std::optional<linalg::Matrix>& warm) {
+  const std::size_t k_count = problem.num_responses();
+  const std::size_t m_count = problem.num_groups();
+  const linalg::Matrix& a = problem.gram;
+  const linalg::Matrix& b = problem.cross;
+  OracleRun run;
+  GroupLassoResult& result = run.result;
+  result.beta = warm ? *warm : linalg::Matrix(k_count, m_count);
+  linalg::Matrix& beta = result.beta;
+  linalg::Matrix p = linalg::matmul(beta, a);
+  linalg::Vector r(k_count), delta(k_count);
+  auto update_group = [&](std::size_t m) -> double {
+    const double amm = a(m, m);
+    if (amm <= 0.0) return 0.0;
+    double r_norm_sq = 0.0;
+    for (std::size_t k = 0; k < k_count; ++k) {
+      r[k] = b(k, m) - p(k, m) + beta(k, m) * amm;
+      r_norm_sq += r[k] * r[k];
+    }
+    if (!std::isfinite(r_norm_sq))
+      return std::numeric_limits<double>::infinity();
+    const double r_norm = std::sqrt(r_norm_sq);
+    const double scale = r_norm <= mu ? 0.0 : (1.0 - mu / r_norm) / amm;
+    double change_sq = 0.0;
+    for (std::size_t k = 0; k < k_count; ++k) {
+      delta[k] = scale * r[k] - beta(k, m);
+      change_sq += delta[k] * delta[k];
+    }
+    if (change_sq > 0.0) {
+      for (std::size_t k = 0; k < k_count; ++k) {
+        if (delta[k] == 0.0) continue;
+        beta(k, m) += delta[k];
+        linalg::kern::axpy(m_count, delta[k], a.row_data(m), p.row_data(k));
+      }
+    }
+    return std::sqrt(change_sq);
+  };
+  std::vector<std::size_t> active;
+  while (result.iterations < options.max_iterations) {
+    double violation = 0.0;
+    active.clear();
+    for (std::size_t m = 0; m < m_count; ++m) {
+      violation = std::max(violation, update_group(m));
+      for (std::size_t k = 0; k < k_count; ++k) {
+        if (beta(k, m) != 0.0) {
+          active.push_back(m);
+          break;
+        }
+      }
+    }
+    ++result.iterations;
+    if (!std::isfinite(violation)) {
+      result.status = Status::Numerical("non-finite");
+      return run;
+    }
+    if (violation < options.tolerance) {
+      result.converged = true;
+      break;
+    }
+    bool inner_done = false;
+    while (result.iterations < options.max_iterations) {
+      double inner = 0.0;
+      for (std::size_t m : active) inner = std::max(inner, update_group(m));
+      ++result.iterations;
+      if (!std::isfinite(inner)) {
+        result.status = Status::Numerical("non-finite");
+        return run;
+      }
+      if (inner < options.tolerance) {
+        inner_done = true;
+        break;
+      }
+    }
+    run.capped_in_inner = !inner_done;
+  }
+  result.penalty_weight = mu;
+  result.group_norms = linalg::Vector(m_count);
+  for (std::size_t m = 0; m < m_count; ++m) {
+    result.group_norms[m] = beta.col(m).norm2();
+    result.budget += result.group_norms[m];
+  }
+  return run;
+}
+
+/// GroupLasso::solve_budget's μ walk and bisection over the oracle solves.
+GroupLassoResult oracle_budget(const GroupLasso& solver, double lambda) {
+  const GroupLassoOptions& options = solver.options();
+  auto solve = [&](double mu, const std::optional<linalg::Matrix>& warm) {
+    return full_row_bcd(solver.problem(), options, mu, warm).result;
+  };
+  const double hi_mu = solver.mu_max();
+  double hi = hi_mu, lo = -1.0, previous_budget = 0.0;
+  GroupLassoResult best = solve(hi_mu, std::nullopt);
+  std::optional<linalg::Matrix> warm = best.beta;
+  for (double mu = hi_mu * 0.4; mu >= hi_mu * 1e-4; mu *= 0.4) {
+    GroupLassoResult res = solve(mu, warm);
+    warm = res.beta;
+    if (res.budget > lambda) {
+      lo = mu;
+      break;
+    }
+    hi = mu;
+    const bool saturated =
+        res.budget > 0.0 &&
+        res.budget - previous_budget <= options.budget_slack * res.budget;
+    previous_budget = res.budget;
+    best = std::move(res);
+    if (lambda - best.budget <= options.budget_slack * lambda) return best;
+    if (saturated) return best;
+  }
+  if (lo < 0.0) return best;
+  for (std::size_t it = 0; it < options.budget_bisections; ++it) {
+    const double mid = std::sqrt(lo * hi);
+    GroupLassoResult res = solve(mid, warm);
+    warm = res.beta;
+    if (res.budget <= lambda) {
+      hi = mid;
+      best = std::move(res);
+      if (lambda - best.budget <= options.budget_slack * lambda) break;
+    } else {
+      lo = mid;
+    }
+    if (hi / lo < 1.0 + 1e-12) break;
+  }
+  return best;
+}
+
+void expect_matches_oracle(const GroupLassoResult& got,
+                           const GroupLassoResult& want) {
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+  EXPECT_EQ(got.status.code(), want.status.code());
+  EXPECT_EQ(got.active_groups(1e-3), want.active_groups(1e-3));
+  ASSERT_EQ(got.group_norms.size(), want.group_norms.size());
+  for (std::size_t m = 0; m < want.group_norms.size(); ++m)
+    EXPECT_NEAR(got.group_norms[m], want.group_norms[m],
+                1e-12 * std::max(1.0, want.group_norms[m]))
+        << "group " << m;
+  EXPECT_NEAR(got.budget, want.budget, 1e-12 * std::max(1.0, want.budget));
+}
+
+/// Regressors in a chain with correlation ρ between neighbours, as adjacent
+/// candidate sites on the die are: the Gram is near-singular and BCD crawls.
+Planted make_correlated(std::size_t m, std::size_t k, std::size_t n,
+                        double rho, std::uint64_t seed) {
+  Planted p = make_planted(m, k, n, {2, m / 2, m - 3}, 0.3, seed);
+  const double fresh = std::sqrt(1.0 - rho * rho);
+  for (std::size_t r = 1; r < m; ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      p.z(r, c) = rho * p.z(r - 1, c) + fresh * p.z(r, c);
+  linalg::Matrix beta(k, m);
+  vmap::Rng rng(seed + 1);
+  for (std::size_t s : p.support)
+    for (std::size_t kk = 0; kk < k; ++kk) beta(kk, s) = rng.uniform(0.5, 1.5);
+  p.g = linalg::matmul(beta, p.z);
+  for (std::size_t kk = 0; kk < k; ++kk)
+    for (std::size_t c = 0; c < n; ++c) p.g(kk, c) += 0.3 * rng.normal();
+  return p;
 }
 
 TEST(GroupLassoProblem, GramIsScaledCorrelationLike) {
@@ -275,6 +449,73 @@ TEST(GroupLasso, ShrinkageBiasOfSectionTwoThree) {
   EXPECT_NEAR(result.group_norms[0], 1.0, 0.05);
   EXPECT_NEAR(result.beta(0, 0), 1.0 / std::sqrt(2.0), 0.05);
   EXPECT_LT(result.beta(0, 0), 0.9);
+}
+
+TEST(GroupLassoOracle, PlantedProblemsMatchFullRowSweeps) {
+  for (std::uint64_t seed : {4, 5, 7, 11}) {
+    const Planted p = make_planted(20, 6, 600, {1, 7, 14}, 0.1, seed);
+    const auto problem = GroupLassoProblem::from_data(p.z, p.g);
+    GroupLasso solver(problem);
+    for (double f : {0.5, 0.2, 0.05}) {
+      const double mu = solver.mu_max() * f;
+      expect_matches_oracle(
+          solver.solve_penalized(mu),
+          full_row_bcd(problem, solver.options(), mu, std::nullopt).result);
+    }
+  }
+}
+
+TEST(GroupLassoOracle, CorrelatedProblemMatchesFullRowSweeps) {
+  const Planted p = make_correlated(40, 8, 100, 0.9, 21);
+  const auto problem = GroupLassoProblem::from_data(p.z, p.g);
+  EXPECT_GT(problem.gram(10, 11), 0.85);
+  GroupLasso solver(problem);
+  for (double f : {0.2, 0.1, 0.05, 0.02}) {
+    const double mu = solver.mu_max() * f;
+    expect_matches_oracle(
+        solver.solve_penalized(mu),
+        full_row_bcd(problem, solver.options(), mu, std::nullopt).result);
+  }
+}
+
+TEST(GroupLassoOracle, CorrelatedProblemCappedMidInnerPhase) {
+  const Planted p = make_correlated(40, 8, 100, 0.9, 21);
+  const auto problem = GroupLassoProblem::from_data(p.z, p.g);
+  GroupLassoOptions options;
+  options.max_iterations = 100;  // the solve needs 118 sweeps
+  GroupLasso solver(problem, options);
+  const double mu = solver.mu_max() * 0.02;
+  const OracleRun want = full_row_bcd(problem, options, mu, std::nullopt);
+  ASSERT_FALSE(want.result.converged);
+  ASSERT_TRUE(want.capped_in_inner);
+  expect_matches_oracle(solver.solve_penalized(mu), want.result);
+}
+
+TEST(GroupLassoOracle, WarmStartedChainMatchesFullRowSweeps) {
+  const Planted p = make_correlated(40, 8, 100, 0.9, 22);
+  const auto problem = GroupLassoProblem::from_data(p.z, p.g);
+  GroupLasso solver(problem);
+  std::optional<linalg::Matrix> warm, oracle_warm;
+  for (double f : {0.4, 0.2, 0.1, 0.05, 0.02}) {
+    const double mu = solver.mu_max() * f;
+    const GroupLassoResult got = solver.solve_penalized(mu, warm);
+    const GroupLassoResult want =
+        full_row_bcd(problem, solver.options(), mu, oracle_warm).result;
+    expect_matches_oracle(got, want);
+    warm = got.beta;
+    oracle_warm = want.beta;
+  }
+}
+
+TEST(GroupLassoOracle, BudgetBisectionLandsOnTheSamePenalty) {
+  const Planted p = make_correlated(40, 8, 100, 0.9, 21);
+  GroupLasso solver(GroupLassoProblem::from_data(p.z, p.g));
+  const double lambda = 2.0;
+  const GroupLassoResult got = solver.solve_budget(lambda);
+  const GroupLassoResult want = oracle_budget(solver, lambda);
+  EXPECT_GT(got.budget, 0.9 * lambda);  // the budget binds: μ was bisected
+  EXPECT_EQ(got.penalty_weight, want.penalty_weight);  // bit-identical μ
+  expect_matches_oracle(got, want);
 }
 
 TEST(GroupLasso, RejectsInvalidArguments) {
